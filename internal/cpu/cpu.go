@@ -200,12 +200,13 @@ type Config struct {
 	// ticker, as one labelled lane so concurrent replays do not clobber each
 	// other's rows (obtain one via Progress.Lane).
 	Progress *obs.Lane
-	// CritPath collects critical-path cycle attribution: every stall cycle
-	// the model charges is mirrored into a fine-grained cause bucket, and
-	// each retired instruction records its last-arriving dependence edge.
-	// The collector is per-replay (not safe for sharing across cells); the
-	// buckets it accumulates sum exactly to Breakdown.Total(). nil (the
-	// default) collects nothing and costs only nil checks.
+	// CritPath collects critical-path cycle attribution: each retired
+	// instruction records its last-arriving dependence edge, and when the
+	// replay finishes the collector receives the stall cycles per cause —
+	// the column sums of the same (category, cause) account whose row sums
+	// are the Breakdown, so its buckets sum exactly to Breakdown.Total().
+	// The collector is per-replay (not safe for sharing across cells). nil
+	// (the default) records no edges and costs only nil checks.
 	CritPath *critpath.Collector
 	// Timeline, when non-nil, receives cumulative state snapshots at
 	// aligned 2^k-cycle boundaries (stall breakdown, retired instructions,

@@ -89,7 +89,7 @@ func runWithCollector(t *testing.T, tr *trace.Trace, arch string, cfg Config) (R
 	)
 	switch arch {
 	case "BASE":
-		res = RunBaseCP(tr, cp)
+		res = RunBaseObs(tr, cp, nil)
 	case "SSBR":
 		res, err = RunSSBR(tr, cfg)
 	case "SS":
@@ -129,7 +129,7 @@ func TestCritPathConservation(t *testing.T) {
 		{"DS", Config{Window: 64, SpeculativeLoads: true}},
 	}
 	for trName, tr := range critpathTraces() {
-		for _, m := range []consistency.Model{consistency.SC, consistency.PC, consistency.RC} {
+		for _, m := range []consistency.Model{consistency.SC, consistency.PC, consistency.WO, consistency.RC} {
 			for _, a := range archs {
 				name := fmt.Sprintf("%s/%s/%s-W%d", trName, m, a.name, a.cfg.Window)
 				t.Run(name, func(t *testing.T) {
@@ -272,5 +272,28 @@ func TestCritPathCauseSemantics(t *testing.T) {
 		attr.Cycles[critpath.WriteLat] != res.Breakdown.Write ||
 		attr.Cycles[critpath.SyncWait] != res.Breakdown.Sync {
 		t.Errorf("BASE fine buckets diverge from breakdown: %v vs %v", attr.Cycles, res.Breakdown)
+	}
+}
+
+// TestDSConsistencyStallChargesCulprit pins the DS classification of an
+// unissued head load. Under SC the load may not issue past an older store
+// miss still in the store buffer, so its stall cycles carry the consistency
+// cause, and the Figure 3 breakdown charges them to the store holding it
+// up (write time), not to the load.
+func TestDSConsistencyStallChargesCulprit(t *testing.T) {
+	b := newTB()
+	for i := 0; i < 10; i++ {
+		b.store(0, 3, uint64(0x4000+i*64), true)
+		b.load(1, 0, uint64(0x2000+i*64), true)
+		b.alu(2, 1, 1)
+	}
+	res, attr := runWithCollector(t, b.halt(), "DS", Config{Model: consistency.SC, Window: 64})
+	cons := attr.Cycles[critpath.Consistency]
+	if cons == 0 {
+		t.Fatal("SC DS replay attributed no consistency-ordering cycles")
+	}
+	if res.Breakdown.Write < cons {
+		t.Errorf("write stall = %d, want at least the %d consistency cycles charged to the older store (breakdown %v)",
+			res.Breakdown.Write, cons, res.Breakdown)
 	}
 }

@@ -65,15 +65,6 @@ const (
 	evPerform                    // memory access performs
 )
 
-// Stall attribution categories.
-const (
-	catSync uint8 = iota
-	catRead
-	catWrite
-	catBranch
-	catOther
-)
-
 type dsEvent struct {
 	at   uint64
 	kind dsEventKind
@@ -170,41 +161,6 @@ func (h *seqHeap) pop() int {
 	return top
 }
 
-// stallStack is the LIFO of charged stall categories used for burst credit,
-// run-length encoded: a stretch of identical charges is one run. The
-// encoding is what lets the time-skip path push a whole quiet stretch in
-// O(1) without the stack growing with simulated time, while popping remains
-// strictly one charged cycle at a time — the pop order is identical to a
-// flat per-cycle stack, so the credited categories match the cycle-stepped
-// accounting exactly.
-type stallRun struct {
-	cat uint8
-	n   uint64
-}
-
-type stallStack []stallRun
-
-// pushN records n consecutive stall cycles of category cat.
-func (s *stallStack) pushN(cat uint8, n uint64) {
-	if l := len(*s); l > 0 && (*s)[l-1].cat == cat {
-		(*s)[l-1].n += n
-		return
-	}
-	*s = append(*s, stallRun{cat: cat, n: n})
-}
-
-// pop removes and returns the most recently charged cycle's category.
-// The caller must check len(*s) > 0 first.
-func (s *stallStack) pop() uint8 {
-	l := len(*s)
-	c := (*s)[l-1].cat
-	(*s)[l-1].n--
-	if (*s)[l-1].n == 0 {
-		*s = (*s)[:l-1]
-	}
-	return c
-}
-
 const maxDSCycles = uint64(1) << 40
 
 // RunDS replays tr through the dynamically scheduled processor.
@@ -229,11 +185,10 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 
 	scratch := getDSScratch(cfg.Window)
 	var (
-		cat        [5]uint64            // stall cycles by category (see catSync..catOther)
-		stallStack = scratch.stallStack // LIFO of charged stall categories, for burst credit
-		credit     int                  // excess retirements not yet converted to credit
-		window     = cfg.Window
-		entries    = scratch.entries
+		acct    = stallAccount{lifo: true, stack: scratch.stack, fine: cfg.CritPath != nil}
+		credit  int // excess retirements not yet converted to credit
+		window  = cfg.Window
+		entries = scratch.entries
 
 		headSeq, nextSeq int // ROB occupancy is [headSeq, nextSeq)
 		idx              int // next trace event to decode
@@ -251,7 +206,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		fetchBlockedBy = -1
 		mispredicts    uint64
 		prefetches     uint64
-		occupancySum   uint64
+		occ            occupancy // ROB, store buffer and MSHR occupancy integrals
 		hist           = NewDelayHistogram()
 		t              uint64
 	)
@@ -259,7 +214,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		// Hand the (possibly grown) slices back so the pool retains their
 		// capacity for the next replay.
 		scratch.evq, scratch.dispatch = evq, dispatch
-		scratch.memq, scratch.stallStack = memq, stallStack
+		scratch.memq, scratch.stack = memq, acct.stack
 		scratch.release()
 	}()
 	for r := range lastWriter {
@@ -310,109 +265,92 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 
 	var srcBuf [2]uint8
 
-	// Critical-path attribution (package critpath): each stall cycle the
-	// coarse accounting below charges is mirrored into a fine cause bucket,
-	// refined at the same decision points — e.g. an unissued head load is
-	// split into consistency-blocked vs MSHR-exhausted by replaying the
-	// cache port's own issue test. fineStall is evaluated only on stall
-	// cycles with a collector attached; the default path pays nil checks.
+	// Critical-path attribution: each retiring instruction's last-arriving
+	// edge is recorded below; the stall cycles reach the collector from the
+	// account when the replay finishes.
 	cp := cfg.CritPath
-	fineStall := func() critpath.Cause {
-		if headSeq < nextSeq {
-			h := at(headSeq)
-			switch h.class {
-			case isa.ClassLoad:
-				m := h.mop
-				if m.issued {
-					return critpath.ReadLat
-				}
-				if !m.addrReady {
-					if h.waitsOnLoad {
-						return critpath.ReadLat // load-use address chain
-					}
-					return critpath.DataDep
-				}
-				// Ready but the port has not accepted it: mirror issueMem's
-				// gates — consistency ordering first, then the MSHR bound.
-				var pend consistency.Pending
-				for _, om := range memq {
-					if !om.performed && om.seq < h.seq {
-						pendingOf(om, &pend)
-					}
-				}
-				if !consistency.MayIssue(cfg.Model, h.kind, pend) && !cfg.SpeculativeLoads {
-					return critpath.Consistency
-				}
-				if cfg.MSHRs > 0 && outMiss >= cfg.MSHRs && m.latency > 1 {
-					return critpath.MSHRFull
-				}
-				return critpath.ReadLat // allowed; waiting on the single port
-			case isa.ClassStore:
-				if h.waitsOnLoad && !h.done {
-					return critpath.ReadLat
-				}
-				if !h.done {
-					return critpath.DataDep
-				}
-				return critpath.BufferFull // store buffer full at retirement
-			case isa.ClassSync:
-				if isAcquireClass(h.ev.Instr.Op) {
-					return critpath.SyncWait
-				}
-				if h.waitsOnLoad && !h.done {
-					return critpath.ReadLat
-				}
-				if !h.done {
-					return critpath.DataDep
-				}
-				return critpath.BufferFull // release blocked on the store buffer
-			default: // ALU/branch/halt not yet executed
-				if h.waitsOnLoad {
-					return critpath.ReadLat // tail of a load-use chain
-				}
-				if h.depCount > 0 {
-					return critpath.DataDep
-				}
-				return critpath.BranchRefill // pipeline fill after redirect
+
+	// Stall attribution: a cycle with no retirement is charged once, to the
+	// blocking reason at the reorder-buffer head — its Figure 3 category and
+	// its critical-path cause, refined at the same decision points (e.g. an
+	// unissued head load is split into consistency-blocked vs MSHR-exhausted
+	// by replaying the cache port's own issue test).
+	classify := func() stall {
+		if headSeq == nextSeq {
+			switch {
+			case fetchBlockedBy >= 0:
+				return stall{catBranch, critpath.BranchRefill}
+			case memLive > 0 && idx >= src.n:
+				return stall{catWrite, critpath.WriteLat} // draining buffered writes at the end
 			}
+			return stall{catOther, critpath.Other}
 		}
-		if fetchBlockedBy >= 0 {
-			return critpath.BranchRefill
+		h := at(headSeq)
+		switch h.class {
+		case isa.ClassLoad:
+			m := h.mop
+			if m.issued {
+				return stall{catRead, critpath.ReadLat}
+			}
+			// Not accepted by the cache port. One pass over the older
+			// unperformed accesses finds the oldest, which the category
+			// charges (e.g. an incomplete write under SC, as in the static
+			// models), and sums them into the consistency summary that
+			// replays issueMem's gates for the cause.
+			cat := catRead // the load itself when nothing older is pending
+			var pend consistency.Pending
+			for _, om := range memq {
+				if om.performed {
+					continue
+				}
+				if om.seq >= h.seq {
+					break
+				}
+				if pend.Total() == 0 {
+					cat = categoryOf(om.kind) // the oldest unperformed access
+				}
+				pendingOf(om, &pend)
+			}
+			switch {
+			case !m.addrReady && h.waitsOnLoad:
+				return stall{cat, critpath.ReadLat} // load-use address chain
+			case !m.addrReady:
+				return stall{cat, critpath.DataDep}
+			case !consistency.MayIssue(cfg.Model, h.kind, pend) && !cfg.SpeculativeLoads:
+				return stall{cat, critpath.Consistency}
+			case cfg.MSHRs > 0 && outMiss >= cfg.MSHRs && m.latency > 1:
+				return stall{cat, critpath.MSHRFull}
+			}
+			return stall{cat, critpath.ReadLat} // allowed; waiting on the single port
+		case isa.ClassStore, isa.ClassSync:
+			switch {
+			case h.class == isa.ClassSync && isAcquireClass(h.ev.Instr.Op):
+				return stall{catSync, critpath.SyncWait}
+			case h.done:
+				return stall{catWrite, critpath.BufferFull} // store buffer full at retirement
+			case h.waitsOnLoad:
+				return stall{catRead, critpath.ReadLat}
+			}
+			return stall{catWrite, critpath.DataDep}
+		default: // ALU/branch/halt not yet executed
+			switch {
+			case h.waitsOnLoad:
+				return stall{catRead, critpath.ReadLat} // tail of a load-use chain
+			case h.depCount > 0:
+				return stall{catBranch, critpath.DataDep}
+			}
+			return stall{catBranch, critpath.BranchRefill} // pipeline refill after redirect or cold start
 		}
-		if memLive > 0 && idx >= src.n {
-			return critpath.WriteLat // draining buffered writes at the end
-		}
-		return critpath.Other
 	}
-	var fineCat critpath.Cause // this cycle's fine cause (valid when charged)
 
 	// Interval timeline sampling: cumulative state snapshots at aligned
 	// 2^k-cycle boundaries. At the top of the body for cycle t the live
 	// counters cover cycles 0..t-1 — exactly boundary t — and a time-skip
 	// jump interpolates each crossed boundary inside the bulk-charged
-	// stretch, so the series is byte-identical skip vs noskip. Busy is the
-	// same residual the final Breakdown uses (cycle − Σstalls), which is
-	// why a snapshot needs only the stall-category array: burst-retirement
-	// credit pops show up as stall counters *decreasing* between
+	// stretch, so the series is byte-identical skip vs noskip. Burst-
+	// retirement credit pops show up as stall counters *decreasing* between
 	// boundaries, i.e. signed interval deltas.
 	tl := cfg.Timeline
-	var tlSBSum, tlMSHRSum uint64
-	dsPoint := func(cycle uint64, stalls [5]uint64, occSum, sbSum, mshrSum uint64, extra critpath.Cause, extraN uint64) obs.TimelinePoint {
-		st := stalls[catSync] + stalls[catRead] + stalls[catWrite] + stalls[catBranch] + stalls[catOther]
-		p := obs.TimelinePoint{
-			Cycle: cycle, Instructions: uint64(headSeq),
-			Busy: cycle - st,
-			Sync: stalls[catSync], Read: stalls[catRead], Write: stalls[catWrite],
-			Branch: stalls[catBranch], Other: stalls[catOther],
-			WindowSum: occSum, StoreBufSum: sbSum, MSHRSum: mshrSum,
-		}
-		if cp != nil {
-			cc := cp.CycleCounts()
-			cc[extra] += extraN
-			p.Causes = append([]uint64(nil), cc[:]...)
-		}
-		return p
-	}
 
 	// Livelock watchdog and cooperative cancellation, polled on a stride so
 	// the per-cycle hot path stays branch-light.
@@ -467,7 +405,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		iter++
 
 		if tl != nil && t == tl.Boundary() {
-			tl.Record(dsPoint(t, cat, occupancySum, tlSBSum, tlMSHRSum, 0, 0))
+			tl.Record(acct.point(t, uint64(headSeq), occ, stall{}, 0))
 		}
 
 		prevIdx := idx
@@ -586,7 +524,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				// retirement; anything else flowed through busily.
 				switch {
 				case h.headAt < t:
-					cp.EdgeLast()
+					cp.Edge(acct.last.cause)
 				case h.doneAt < t:
 					cp.Edge(critpath.InOrder)
 				default:
@@ -600,83 +538,29 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 			dog.last = t
 		}
 
-		// Stall attribution: a cycle with no retirement is classified by the
-		// blocking reason at the reorder-buffer head and pushed on the stall
-		// stack. A cycle that retires k > 1 instructions proves that k-1 of
-		// the most recent stall cycles actually overlapped useful buffered
-		// work, so those cycles are reclassified as busy (popped). This
+		// A cycle with no retirement is a stall. A cycle that retires more
+		// than the issue width proves that earlier stall cycles overlapped
+		// useful buffered work; credit them in units of the issue width (one
+		// width's worth of retirements = one cycle of useful work), which
 		// keeps the busy section equal to the useful cycles, as in Figure 3.
-		stallCat := catOther // category charged this cycle (valid when retired == 0)
 		if retired == 0 {
-			c := catOther
-			if headSeq < nextSeq {
-				h := at(headSeq)
-				switch h.class {
-				case isa.ClassLoad:
-					if h.mop.issued {
-						c = catRead
-					} else {
-						// Blocked by consistency constraints: charge the
-						// oldest unperformed access holding it up (e.g. an
-						// incomplete write under SC), as in the static
-						// models' attribution.
-						c = oldestPendingCategory(memq)
-					}
-				case isa.ClassStore:
-					if h.waitsOnLoad && !h.done {
-						c = catRead
-					} else {
-						c = catWrite
-					}
-				case isa.ClassSync:
-					if isAcquireClass(h.ev.Instr.Op) {
-						c = catSync
-					} else if h.waitsOnLoad && !h.done {
-						c = catRead
-					} else {
-						c = catWrite
-					}
-				default: // ALU/branch/halt not yet executed
-					if h.waitsOnLoad {
-						c = catRead // tail of a load-use chain
-					} else {
-						c = catBranch // pipeline refill after redirect or cold start
-					}
+			acct.add(classify())
+		} else {
+			acct.work()
+			if retired > cfg.IssueWidth {
+				credit += retired - cfg.IssueWidth
+				for credit >= cfg.IssueWidth && acct.credit() {
+					credit -= cfg.IssueWidth
 				}
-			} else if fetchBlockedBy >= 0 {
-				c = catBranch
-			} else if memLive > 0 && idx >= src.n {
-				c = catWrite // draining the store buffer at the end
-			}
-			cat[c]++
-			stallStack.pushN(c, 1)
-			stallCat = c
-			if cp != nil {
-				fineCat = fineStall()
-				cp.Stall(fineCat)
-			}
-		} else if retired > cfg.IssueWidth {
-			// A cycle that retires more than the issue width proves that
-			// earlier stall cycles overlapped useful buffered work; credit
-			// them in units of the issue width (one width's worth of
-			// retirements = one cycle of useful work).
-			credit += retired - cfg.IssueWidth
-			for credit >= cfg.IssueWidth && len(stallStack) > 0 {
-				cat[stallStack.pop()]--
-				cp.Uncharge()
-				credit -= cfg.IssueWidth
 			}
 		}
 
-		occupancySum += uint64(nextSeq - headSeq)
-		if tl != nil {
-			tlSBSum += uint64(sbCount)
-			tlMSHRSum += uint64(outMiss)
-		}
+		cur := occupancy{uint64(nextSeq - headSeq), uint64(sbCount), uint64(outMiss)}
+		occ.add(cur, 1)
 		if cfg.Metrics != nil {
-			robHist.Observe(uint64(nextSeq - headSeq))
-			sbHist.Observe(uint64(sbCount))
-			mshrHist.Observe(uint64(outMiss))
+			robHist.Observe(cur[0])
+			sbHist.Observe(cur[1])
+			mshrHist.Observe(cur[2])
 		}
 		if cfg.Progress != nil && t&(obs.PublishEvery-1) == 0 {
 			cfg.Progress.Publish(uint64(headSeq), t)
@@ -834,39 +718,24 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 			}
 			if next != ^uint64(0) && next > t+1 {
 				delta := next - t - 1 // quiet cycles t+1 .. next-1
-				occ := uint64(nextSeq - headSeq)
-				if tl != nil {
-					// The jump lands at next with the top-of-body check
-					// already past boundary next, so interpolate every
-					// boundary b in (t, next] here, before the bulk charges
-					// land: b snapshots the state after cycles 0..b-1, i.e.
-					// the fixed point plus b-t-1 repeats of its single
-					// stall charge, with occupancy frozen and no retires.
-					for b := tl.Boundary(); b <= next; b = tl.Boundary() {
-						q := b - t - 1
-						sq := cat
-						sq[stallCat] += q
-						tl.Record(dsPoint(b, sq, occupancySum+occ*q,
-							tlSBSum+uint64(sbCount)*q, tlMSHRSum+uint64(outMiss)*q,
-							fineCat, q))
-					}
+				// The jump lands at next with the top-of-body check already
+				// past boundary next, so interpolate every boundary b in
+				// (t, next] here, before the bulk charges land: b snapshots
+				// the state after cycles 0..b-1, i.e. the fixed point plus
+				// b-t-1 repeats of its single stall charge, with occupancy
+				// frozen at cur and no retires.
+				for b := tl.Boundary(); b <= next; b = tl.Boundary() {
+					q := b - t - 1
+					o := occ
+					o.add(cur, q)
+					tl.Record(acct.point(b, uint64(headSeq), o, acct.last, q))
 				}
-				cat[stallCat] += delta
-				stallStack.pushN(stallCat, delta)
-				if cp != nil {
-					// The fixed point charged fineCat this cycle; the skipped
-					// stretch repeats exactly that charge.
-					cp.StallN(fineCat, delta)
-				}
-				occupancySum += occ * delta
-				if tl != nil {
-					tlSBSum += uint64(sbCount) * delta
-					tlMSHRSum += uint64(outMiss) * delta
-				}
+				acct.addN(acct.last, delta)
+				occ.add(cur, delta)
 				if cfg.Metrics != nil {
-					robHist.ObserveN(occ, delta)
-					sbHist.ObserveN(uint64(sbCount), delta)
-					mshrHist.ObserveN(uint64(outMiss), delta)
+					robHist.ObserveN(cur[0], delta)
+					sbHist.ObserveN(cur[1], delta)
+					mshrHist.ObserveN(cur[2], delta)
 				}
 				if cfg.Progress != nil && t/obs.PublishEvery != next/obs.PublishEvery {
 					cfg.Progress.Publish(uint64(headSeq), next)
@@ -880,35 +749,22 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		t++
 	}
 
-	// Assemble the final breakdown: total cycles minus attributed stall
-	// cycles is busy (useful) time. For issue width 1 this equals the
-	// instruction count exactly; for wider issue it is the cycles the
-	// machine spent retiring work.
-	stall := cat[catSync] + cat[catRead] + cat[catWrite] + cat[catBranch] + cat[catOther]
-	busy := t - stall
-	bd := Breakdown{
-		Busy:   busy,
-		Sync:   cat[catSync],
-		Read:   cat[catRead],
-		Write:  cat[catWrite],
-		Branch: cat[catBranch],
-		Other:  cat[catOther],
-	}
-
+	// Busy is the cycles that retired work plus the credited stall cycles.
+	// For issue width 1 this equals the instruction count exactly; for wider
+	// issue it is the cycles the machine spent retiring work.
 	res := Result{
-		Breakdown:     bd,
+		Breakdown:     acct.finish(cp),
 		Instructions:  uint64(src.n),
 		Mispredicts:   mispredicts,
 		Prefetches:    prefetches,
 		ReadMissDelay: hist,
 	}
 	if t > 0 {
-		res.AvgOccupancy = float64(occupancySum) / float64(t)
+		res.AvgOccupancy = float64(occ[0]) / float64(t)
 	}
 	if tl != nil {
-		tl.Finish(dsPoint(t, cat, occupancySum, tlSBSum, tlMSHRSum, 0, 0))
+		tl.Finish(acct.point(t, uint64(headSeq), occ, stall{}, 0))
 	}
-	cp.Finish(t)
 	robHist.Close()
 	sbHist.Close()
 	mshrHist.Close()
@@ -1006,25 +862,6 @@ func issueMem(memq []*memOp, t uint64, cfg Config, evq *eventHeap, outMiss *int,
 		return true
 	}
 	return false
-}
-
-// oldestPendingCategory classifies the oldest unperformed access in the
-// memory queue for stall attribution.
-func oldestPendingCategory(memq []*memOp) uint8 {
-	for _, m := range memq {
-		if m.performed {
-			continue
-		}
-		switch {
-		case m.kind&consistency.Acquire != 0:
-			return catSync
-		case m.kind&(consistency.Store|consistency.Release) != 0:
-			return catWrite
-		default:
-			return catRead
-		}
-	}
-	return catRead
 }
 
 func memReady(m *memOp) bool {

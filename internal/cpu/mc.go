@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 
+	"dynsched/internal/critpath"
 	"dynsched/internal/isa"
 	"dynsched/internal/trace"
 )
@@ -35,7 +36,7 @@ type mcCtx struct {
 	events  []trace.Event
 	idx     int
 	readyAt uint64 // context is blocked until this cycle
-	reason  uint8  // stall category while blocked
+	reason  stall  // charge while blocked
 }
 
 // RunMC interleaves the given traces on one pipeline. switchPenalty is the
@@ -59,7 +60,7 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 	}
 
 	var (
-		bd       Breakdown
+		acct     stallAccount
 		t        uint64
 		active   = 0
 		switches uint64
@@ -75,7 +76,7 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 			// Execute one instruction on the active context.
 			e := &c.events[c.idx]
 			c.idx++
-			bd.Busy++
+			acct.work()
 			t++
 			if c.idx == len(c.events) {
 				done++
@@ -86,12 +87,12 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 					// Block this context; the next loop iteration finds
 					// another ready context (switch-on-miss).
 					c.readyAt = t - 1 + uint64(e.Latency)
-					c.reason = catRead
+					c.reason = stall{catRead, critpath.ReadLat}
 				}
 			case isa.ClassSync:
 				if isAcquireClass(e.Instr.Op) {
 					c.readyAt = t - 1 + uint64(e.Wait) + uint64(e.Latency)
-					c.reason = catSync
+					c.reason = stall{catSync, critpath.SyncWait}
 				}
 				// Releases drain through the write buffer: 1 cycle.
 			}
@@ -119,10 +120,8 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 		case next >= 0:
 			if next != active {
 				switches++
-				for k := 0; k < switchPenalty; k++ {
-					bd.Other++ // context-switch overhead
-					t++
-				}
+				acct.addN(stall{catOther, critpath.Other}, uint64(switchPenalty)) // context-switch overhead
+				t += uint64(switchPenalty)
 				active = next
 			} else {
 				// Only the active context remains and it is ready.
@@ -130,16 +129,15 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 		case soonest >= 0:
 			// Everyone is blocked: stall until the soonest wakes, charged to
 			// its blocking reason.
-			for t < soonestAt {
-				charge(&bd, ctxs[soonest].reason)
-				t++
-			}
+			acct.addN(ctxs[soonest].reason, soonestAt-t)
+			t = soonestAt
 			active = soonest
 		default:
 			done = len(ctxs) // nothing left anywhere
 		}
 	}
 
+	bd := acct.finish(nil)
 	res := MCResult{
 		Result:   Result{Breakdown: bd, Instructions: instructions},
 		Contexts: len(ctxs),

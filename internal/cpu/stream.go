@@ -68,12 +68,7 @@ func checkStreamWindow(window int) error {
 // RunBaseStream replays a streaming trace through the BASE processor.
 // A decode or integrity error from the stream aborts the replay.
 func RunBaseStream(c *trace.Cursor) (Result, error) {
-	return RunBaseStreamCP(c, nil)
-}
-
-// RunBaseStreamCP is RunBaseStream with critical-path attribution.
-func RunBaseStreamCP(c *trace.Cursor, cp *critpath.Collector) (Result, error) {
-	return RunBaseStreamObs(c, cp, nil)
+	return RunBaseStreamObs(c, nil, nil)
 }
 
 // RunBaseStreamObs is RunBaseStream with critical-path attribution and

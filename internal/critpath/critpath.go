@@ -1,20 +1,20 @@
 // Package critpath implements critical-path cycle attribution for the
-// processor timing models: a per-replay Collector that mirrors each model's
-// stall accounting at a finer cause granularity and records, for every
-// retired instruction, its last-arriving dependence edge.
+// processor timing models: a per-replay Collector that receives each
+// replay's stall cycles per fine cause and records, for every retired
+// instruction, its last-arriving dependence edge.
 //
 // The Figure 3 Breakdown answers "where did the cycles go" in the paper's
 // four coarse categories; the attribution here answers "what caused them" —
 // at window W under model M, X% of execution time is on the critical path
-// because of cause C. The design guarantees the conservation invariant by
-// construction: the Collector charges exactly one fine cause for every
-// stall cycle the model charges (and uncharges in lockstep when the DS
-// model's burst-retirement credit reclassifies stall cycles as busy), then
-// Finish computes the busy bucket as the residual total − Σstalls. The
-// attribution buckets therefore sum exactly to Breakdown.Total().
+// because of cause C. The conservation invariant holds by construction:
+// the processor models charge every stall cycle once, as a (category,
+// cause) pair, into one account whose row sums are the Breakdown and whose
+// column sums are handed to Finish. Attribution then computes the busy
+// bucket as the residual total − Σstalls, so the buckets sum exactly to
+// Breakdown.Total().
 //
 // Like the hooks of package obs, every Collector method is nil-safe: a
-// replay with no collector pays only nil checks on the stall path.
+// replay with no collector pays only nil checks at retirement.
 package critpath
 
 import (
@@ -93,14 +93,6 @@ func Causes() []Cause {
 	return out
 }
 
-// causeRun is one run-length-encoded stretch of identically charged cycles.
-// The encoding keeps the stack O(transitions) rather than O(cycles), so the
-// time-skip bulk charges cost O(1) — the same trick as the DS stall stack.
-type causeRun struct {
-	cause Cause
-	n     uint64
-}
-
 // Collector accumulates one replay's critical-path attribution. The zero
 // value is ready to use; all methods are nil-safe no-ops on a nil receiver.
 // A Collector is not safe for concurrent use — the experiment harness gives
@@ -108,58 +100,11 @@ type causeRun struct {
 type Collector struct {
 	cycles [NumCauses]uint64
 	edges  [NumCauses]uint64
-	stack  []causeRun
-	last   Cause
 	total  uint64
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
-
-// Stall charges one stall cycle to cause.
-func (c *Collector) Stall(cause Cause) { c.StallN(cause, 1) }
-
-// StallN charges n stall cycles to cause in bulk (the time-skip path).
-func (c *Collector) StallN(cause Cause, n uint64) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.cycles[cause] += n
-	c.last = cause
-	if l := len(c.stack); l > 0 && c.stack[l-1].cause == cause {
-		c.stack[l-1].n += n
-		return
-	}
-	c.stack = append(c.stack, causeRun{cause: cause, n: n})
-}
-
-// Uncharge pops the most recently charged stall cycle, mirroring the DS
-// model's burst-retirement credit: a cycle that retires more than the issue
-// width proves an earlier stall cycle overlapped useful buffered work, so
-// that cycle's fine cause is reclaimed exactly as its coarse category is.
-func (c *Collector) Uncharge() {
-	if c == nil || len(c.stack) == 0 {
-		return
-	}
-	r := &c.stack[len(c.stack)-1]
-	c.cycles[r.cause]--
-	r.n--
-	if r.n == 0 {
-		c.stack = c.stack[:len(c.stack)-1]
-	}
-}
-
-// CycleCounts returns the raw per-cause stall-cycle counters charged so
-// far, *before* Finish derives the busy residual. The timeline sampler
-// snapshots these at interval boundaries to derive per-interval fine-cause
-// deltas; counts can decrease between snapshots when Uncharge reclaims
-// cycles. Nil-safe (returns the zero array).
-func (c *Collector) CycleCounts() [NumCauses]uint64 {
-	if c == nil {
-		return [NumCauses]uint64{}
-	}
-	return c.cycles
-}
 
 // Edge records one retired instruction's last-arriving dependence edge.
 func (c *Collector) Edge(cause Cause) {
@@ -169,32 +114,16 @@ func (c *Collector) Edge(cause Cause) {
 	c.edges[cause]++
 }
 
-// EdgeLast records an edge of the most recently charged stall cause — the
-// classification of the wait the retiring instruction just sat through.
-// Before any stall has been charged it records Busy.
-func (c *Collector) EdgeLast() {
-	if c == nil {
-		return
-	}
-	c.edges[c.last]++
-}
-
-// Last returns the most recently charged stall cause (Busy before any).
-func (c *Collector) Last() Cause {
-	if c == nil {
-		return Busy
-	}
-	return c.last
-}
-
-// Finish seals the collection at the replay's total cycle count. The busy
-// bucket is derived in Attribution as the residual total − Σstalls, which
-// is what makes the conservation invariant hold by construction.
-func (c *Collector) Finish(total uint64) {
+// Finish seals the collection with the replay's total cycle count and its
+// stall cycles per cause. The busy bucket is derived in Attribution as the
+// residual total − Σstalls, which is what makes the conservation invariant
+// hold by construction.
+func (c *Collector) Finish(total uint64, stalls [NumCauses]uint64) {
 	if c == nil {
 		return
 	}
 	c.total = total
+	c.cycles = stalls
 }
 
 // Attribution returns the sealed attribution. Safe on a nil collector

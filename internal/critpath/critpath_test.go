@@ -9,15 +9,8 @@ import (
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Stall(ReadLat)
-	c.StallN(WriteLat, 7)
-	c.Uncharge()
 	c.Edge(Busy)
-	c.EdgeLast()
-	c.Finish(100)
-	if got := c.Last(); got != Busy {
-		t.Errorf("nil Last() = %v, want busy", got)
-	}
+	c.Finish(100, [NumCauses]uint64{ReadLat: 7})
 	if a := c.Attribution(); a.Total != 0 || a.Sum() != 0 {
 		t.Errorf("nil Attribution() = %+v, want zero", a)
 	}
@@ -25,11 +18,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 
 func TestConservationResidualBusy(t *testing.T) {
 	c := NewCollector()
-	c.StallN(ReadLat, 40)
-	c.Stall(BranchRefill)
-	c.Stall(BranchRefill)
-	c.StallN(SyncWait, 8)
-	c.Finish(100)
+	c.Finish(100, [NumCauses]uint64{ReadLat: 40, BranchRefill: 2, SyncWait: 8})
 	a := c.Attribution()
 	if a.Sum() != 100 {
 		t.Fatalf("Sum() = %d, want 100 (conservation)", a.Sum())
@@ -45,38 +34,12 @@ func TestConservationResidualBusy(t *testing.T) {
 	}
 }
 
-// TestUnchargeLIFO checks that Uncharge pops fine causes in exactly the
-// reverse charge order, one cycle at a time, across run-length boundaries —
-// the lockstep mirror of the DS stall stack's credit pops.
-func TestUnchargeLIFO(t *testing.T) {
+func TestEdgesCountPerCause(t *testing.T) {
 	c := NewCollector()
-	c.StallN(ReadLat, 2)
-	c.Stall(BranchRefill)
-	c.Stall(ReadLat) // separate run after the branch run
-
-	want := []Cause{ReadLat, BranchRefill, ReadLat, ReadLat}
-	for i, cause := range want {
-		before := c.cycles[cause]
-		c.Uncharge()
-		if c.cycles[cause] != before-1 {
-			t.Fatalf("pop %d: cycles[%v] = %d, want %d", i, cause, c.cycles[cause], before-1)
-		}
-	}
-	c.Uncharge() // empty stack: no-op, no underflow
-	for cause, n := range c.cycles {
-		if n != 0 {
-			t.Errorf("after draining, cycles[%v] = %d, want 0", Cause(cause), n)
-		}
-	}
-}
-
-func TestEdgeLastTracksMostRecentStall(t *testing.T) {
-	c := NewCollector()
-	c.EdgeLast() // before any stall: busy
-	c.Stall(MSHRFull)
-	c.EdgeLast()
+	c.Edge(Busy)
+	c.Edge(MSHRFull)
 	c.Edge(InOrder)
-	c.Finish(10)
+	c.Finish(10, [NumCauses]uint64{MSHRFull: 1})
 	a := c.Attribution()
 	if a.Edges[Busy] != 1 || a.Edges[MSHRFull] != 1 || a.Edges[InOrder] != 1 {
 		t.Errorf("edges = %v", a.Edges)
@@ -105,9 +68,8 @@ func TestCauseStrings(t *testing.T) {
 
 func TestAttributionJSON(t *testing.T) {
 	c := NewCollector()
-	c.StallN(ReadLat, 30)
 	c.Edge(Busy)
-	c.Finish(100)
+	c.Finish(100, [NumCauses]uint64{ReadLat: 30})
 	b, err := json.Marshal(c.Attribution())
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +89,7 @@ func TestAttributionJSON(t *testing.T) {
 
 func TestWriteFlame(t *testing.T) {
 	c := NewCollector()
-	c.StallN(ReadLat, 25)
-	c.StallN(BranchRefill, 5)
-	c.Finish(100)
+	c.Finish(100, [NumCauses]uint64{ReadLat: 25, BranchRefill: 5})
 	var buf bytes.Buffer
 	if err := WriteFlame(&buf, []FlameCell{{Name: "lu RC-DS64", Attr: c.Attribution()}}); err != nil {
 		t.Fatal(err)
