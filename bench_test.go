@@ -220,8 +220,9 @@ func BenchmarkIssue4(b *testing.B) {
 
 // BenchmarkTango16 measures the 16-processor execution-driven simulation
 // (package tango) generating one application trace end to end — the hot
-// loop behind every trace the harness consumes, and the beneficiary of the
-// ready-heap scheduler that replaced the per-step linear processor scan.
+// loop behind every trace the harness consumes. Its ready heap orders only
+// loads, stores, synchronization and halts; private ALU and branch
+// instructions run ahead of it in their processor's turn.
 func BenchmarkTango16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

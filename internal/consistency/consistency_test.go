@@ -220,3 +220,58 @@ func TestLoadBypass(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadBlockedBlocksAllMonotone checks, exhaustively over Pending counts
+// 0..2 for every model, the two properties that let a cache port stop
+// scanning its in-order access queue early: once a Load may not issue past
+// the accumulated summary, no access kind may; and adding an older pending
+// access never unblocks an access. The summary only grows along the scan,
+// so a Load-blocked summary blocks everything younger.
+func TestLoadBlockedBlocksAllMonotone(t *testing.T) {
+	kinds := []Kind{Load, Store, Acquire, Release, Acquire | Release}
+	var all []Pending
+	for l := 0; l <= 2; l++ {
+		for s := 0; s <= 2; s++ {
+			for a := 0; a <= 2; a++ {
+				for r := 0; r <= 2; r++ {
+					all = append(all, Pending{Loads: l, Stores: s, Acquires: a, Releases: r})
+				}
+			}
+		}
+	}
+	// add returns p with one more pending access of kind k, counted the way
+	// the replay models count it (a barrier is both an acquire and a release).
+	add := func(p Pending, k Kind) Pending {
+		if k&Load != 0 {
+			p.Loads++
+		}
+		if k&Store != 0 {
+			p.Stores++
+		}
+		if k&Acquire != 0 {
+			p.Acquires++
+		}
+		if k&Release != 0 {
+			p.Releases++
+		}
+		return p
+	}
+	for _, m := range Models {
+		for _, p := range all {
+			loadBlocked := !MayIssue(m, Load, p)
+			for _, k := range kinds {
+				if loadBlocked && MayIssue(m, k, p) {
+					t.Errorf("%v: %v may issue past %+v although a Load may not", m, k, p)
+				}
+				if MayIssue(m, k, p) {
+					continue
+				}
+				for _, older := range kinds {
+					if q := add(p, older); MayIssue(m, k, q) {
+						t.Errorf("%v: %v blocked by %+v but unblocked by adding a pending %v (%+v)", m, k, p, older, q)
+					}
+				}
+			}
+		}
+	}
+}

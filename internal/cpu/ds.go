@@ -199,6 +199,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		dispatch = scratch.dispatch
 
 		memq    = scratch.memq
+		memHead int // memq[:memHead] have all performed; scans start here
 		memLive int
 		sbCount int
 		outMiss int // outstanding (issued, unperformed) misses
@@ -299,7 +300,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 			// replays issueMem's gates for the cause.
 			cat := catRead // the load itself when nothing older is pending
 			var pend consistency.Pending
-			for _, om := range memq {
+			for _, om := range memq[memHead:] {
 				if om.performed {
 					continue
 				}
@@ -435,7 +436,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				}
 				// Retired stores have left the ROB; find their op in memq.
 				if mop == nil {
-					for _, m := range memq {
+					for _, m := range memq[memHead:] {
 						if m.seq == e.seq && !m.performed {
 							mop = m
 							break
@@ -461,6 +462,9 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 					wake(en)
 				}
 			}
+		}
+		for memHead < len(memq) && memq[memHead].performed {
+			memHead++
 		}
 
 		// Phase 2: retire completed instructions from the ROB head. Decode
@@ -582,9 +586,10 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		}
 
 		// Phase 4: the cache port issues at most one memory access.
-		memActive := issueMem(memq, t, cfg, &evq, &outMiss, hist, delayHist, &prefetches)
+		memActive := issueMem(memq[memHead:], t, &cfg, &evq, &outMiss, hist, delayHist, &prefetches)
 
-		// Compact the memory queue when mostly dead.
+		// Compact the memory queue in place when mostly dead. Its front is
+		// never resliced away, so appends keep reusing the pooled array.
 		if len(memq) > 2*memLive+32 {
 			live := memq[:0]
 			for _, m := range memq {
@@ -596,6 +601,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				memq[i] = nil
 			}
 			memq = live
+			memHead = 0
 		}
 
 		// Phase 5: decode up to IssueWidth instructions into the ROB.
@@ -705,7 +711,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				// issuable when its in-flight prefetch decays the remaining
 				// latency to 1, which bypasses the MSHR gate: at
 				// prefetchedAt+latency-1.
-				for _, m := range memq {
+				for _, m := range memq[memHead:] {
 					if m.prefetched && !m.issued && !m.performed && m.latency > 1 {
 						if th := m.prefetchedAt + uint64(m.latency) - 1; th > t && th < next {
 							next = th
@@ -799,7 +805,14 @@ func makeReady(e *dsEntry, dispatch *seqHeap) {
 // for the oldest consistency-blocked miss instead. It reports whether it
 // changed machine state (issued an access or started a prefetch) — an idle
 // port is one of the conditions for a cycle to be a time-skip fixed point.
-func issueMem(memq []*memOp, t uint64, cfg Config, evq *eventHeap, outMiss *int, hist *DelayHistogram, delayHist *obs.HistogramBatch, prefetches *uint64) bool {
+//
+// memq may start anywhere before its oldest unperformed access. The scan
+// stops early once the summary blocks a Load: then it blocks every access
+// kind, and more pending accesses never unblock one (consistency's
+// TestLoadBlockedBlocksAllMonotone), so nothing younger can issue. That
+// holds only without speculative loads, which ignore the summary, and once
+// no prefetch candidate is still being looked for.
+func issueMem(memq []*memOp, t uint64, cfg *Config, evq *eventHeap, outMiss *int, hist *DelayHistogram, delayHist *obs.HistogramBatch, prefetches *uint64) bool {
 	var pend consistency.Pending
 	var pfCand *memOp
 	for i, m := range memq {
@@ -852,6 +865,10 @@ func issueMem(memq []*memOp, t uint64, cfg Config, evq *eventHeap, outMiss *int,
 			}
 		}
 		pendingOf(m, &pend)
+		if !cfg.SpeculativeLoads && (!cfg.Prefetch || pfCand != nil) &&
+			!consistency.MayIssue(cfg.Model, consistency.Load, pend) {
+			break
+		}
 	}
 	if pfCand != nil {
 		// Non-binding prefetch: warms the cache without performing the

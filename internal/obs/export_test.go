@@ -3,14 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden export files")
+	"dynsched/internal/golden"
+)
 
 // goldenTracer builds a small deterministic pipeline: a hit load, two ALU
 // ops, a missing load, and a mispredicted branch.
@@ -29,27 +28,6 @@ func goldenTracer() *PipeTracer {
 	return p
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/obs -update` to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
-}
-
 func TestWriteKonataGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenTracer().WriteKonata(&buf); err != nil {
@@ -59,7 +37,7 @@ func TestWriteKonataGolden(t *testing.T) {
 	if !strings.HasPrefix(out, "Kanata\t0004\n") {
 		t.Fatalf("missing Kanata header:\n%s", out)
 	}
-	checkGolden(t, "golden.kanata", buf.Bytes())
+	golden.Check(t, "golden.kanata", buf.Bytes())
 }
 
 func TestWriteChromeTraceGolden(t *testing.T) {
@@ -82,7 +60,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	if want := 1 + 3*5; len(doc.TraceEvents) != want {
 		t.Errorf("traceEvents = %d, want %d", len(doc.TraceEvents), want)
 	}
-	checkGolden(t, "golden_chrome.json", buf.Bytes())
+	golden.Check(t, "golden_chrome.json", buf.Bytes())
 }
 
 func TestWritePipeTraceFileFormats(t *testing.T) {

@@ -6,7 +6,6 @@ package tango
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"dynsched/internal/asm"
@@ -21,25 +20,57 @@ func spinner() *asm.Program {
 	return b.MustBuild()
 }
 
+// loadSpinner is spinner with a shared load and some arithmetic in the loop
+// body, so the processors running it fall out of lockstep with pure spinners.
+func loadSpinner(addr int64) *asm.Program {
+	b := asm.NewBuilder("loadspin")
+	p := b.Alloc()
+	v := b.Alloc()
+	b.Li(p, addr)
+	b.Label("top")
+	b.Ld(v, p, 0)
+	b.Addi(v, v, 1)
+	b.Addi(v, v, 2)
+	b.J("top")
+	return b.MustBuild()
+}
+
 func TestMaxCyclesKillsLivelock(t *testing.T) {
-	cfg := cfgN(1, -1)
-	cfg.MaxCycles = 5000
-	_, err := Run(same(1, spinner()), nil, cfg)
-	if err == nil {
-		t.Fatal("livelocked program not killed by the cycle budget")
+	cases := []struct {
+		name  string
+		progs []*asm.Program
+		cycle uint64
+		state string
+	}{
+		{"spinner", same(1, spinner()), 5001,
+			"cpu0 ready@5001 at pc 0 (5001 instrs); locks held=0 lock-waiters=0"},
+		{"mixed", []*asm.Program{spinner(), loadSpinner(0x4000), lockCounter(0x1000, 0x2000, 1000)}, 5001,
+			"cpu0 ready@5001 at pc 0 (5001 instrs), cpu1 ready@5001 at pc 4 (4952 instrs), " +
+				"cpu2 ready@5001 at pc 7 (4857 instrs); locks held=1 lock-waiters=0"},
 	}
-	var me *MachineError
-	if !errors.As(err, &me) {
-		t.Fatalf("err = %v, want *MachineError", err)
-	}
-	if me.Reason != "cycle budget" {
-		t.Errorf("reason = %q, want cycle budget", me.Reason)
-	}
-	if me.State == "" || !strings.Contains(me.State, "cpu0") {
-		t.Errorf("machine-state dump missing: %q", me.State)
-	}
-	if !me.Permanent() {
-		t.Error("MachineError must be permanent (not retried)")
+	for _, c := range cases {
+		cfg := cfgN(len(c.progs), -1)
+		cfg.MaxCycles = 5000
+		_, err := Run(c.progs, nil, cfg)
+		if err == nil {
+			t.Fatalf("%s: livelocked program not killed by the cycle budget", c.name)
+		}
+		var me *MachineError
+		if !errors.As(err, &me) {
+			t.Fatalf("%s: err = %v, want *MachineError", c.name, err)
+		}
+		if me.Reason != "cycle budget" {
+			t.Errorf("%s: reason = %q, want cycle budget", c.name, me.Reason)
+		}
+		// The dump is exact: every processor has run every instruction up to
+		// the budget and none past it.
+		if me.Cycle != c.cycle || me.State != c.state {
+			t.Errorf("%s: killed at cycle %d with state\n  %q\nwant cycle %d with state\n  %q",
+				c.name, me.Cycle, me.State, c.cycle, c.state)
+		}
+		if !me.Permanent() {
+			t.Error("MachineError must be permanent (not retried)")
+		}
 	}
 }
 
@@ -70,8 +101,9 @@ func TestDeadlockCarriesMachineState(t *testing.T) {
 	if me.Reason != "deadlock" {
 		t.Errorf("reason = %q, want deadlock", me.Reason)
 	}
-	if !strings.Contains(me.State, "blocked") || !strings.Contains(me.State, "lock-waiters=1") {
-		t.Errorf("deadlock dump not diagnosable: %q", me.State)
+	const wantState = "cpu0 halted@51 after 3 instrs, cpu1 blocked since 1 at pc 2 (2 instrs); locks held=1 lock-waiters=1"
+	if me.Cycle != 0 || me.State != wantState {
+		t.Errorf("deadlock at cycle %d with state\n  %q\nwant cycle 0 with state\n  %q", me.Cycle, me.State, wantState)
 	}
 }
 

@@ -10,9 +10,15 @@
 // the multiprocessor simulation runs under release consistency, so write
 // latency does not stall the processors but releases drain the write buffer.
 //
-// The simulator is deterministic: processors are stepped in global time
-// order with processor id breaking ties, so a given application and
-// configuration always produces the identical trace.
+// The simulator is deterministic: every shared access — load, store,
+// synchronization operation and halt — runs in global time order with
+// processor id breaking ties, so a given application and configuration
+// always produces the identical trace. A processor's private instructions
+// (ALU and branch, which touch only its registers and its own trace) run
+// ahead in the same turn as the ordered step before them, which no other
+// processor can observe; run-ahead stops at timeline boundaries, the cycle
+// budget and the instruction limit, so snapshots and error dumps are those
+// of the strict instruction-by-instruction order.
 package tango
 
 import (
@@ -206,6 +212,8 @@ type proc struct {
 	blockedAt    uint64 // when the processor blocked (for W accounting)
 	pendingEv    int    // index into trace events to patch on wakeup (-1 none)
 
+	tr *trace.Trace // this processor's recorded trace; nil when not recorded
+
 	stats CPUStats
 }
 
@@ -301,7 +309,14 @@ func Run(progs []*asm.Program, memInit func(m *vm.PagedMem), cfg Config) (*Resul
 		th := vm.NewThread(progs[i], shared)
 		th.SetReg(asm.RegCPU, uint64(i))
 		th.SetReg(asm.RegNCPU, uint64(cfg.NumCPUs))
-		s.procs = append(s.procs, &proc{id: i, th: th, pendingEv: -1})
+		p := &proc{id: i, th: th, pendingEv: -1}
+		switch {
+		case s.trs != nil:
+			p.tr = s.trs[i]
+		case i == cfg.TraceCPU:
+			p.tr = s.tr
+		}
+		s.procs = append(s.procs, p)
 	}
 
 	if err := s.loop(); err != nil {
@@ -446,19 +461,64 @@ func (s *sim) loop() error {
 		if err != nil {
 			return err
 		}
-		s.steps++
-		if s.steps&(obs.PublishEvery-1) == 0 {
-			if err := s.ctxErr(); err != nil {
-				return fmt.Errorf("tango: simulation canceled at cycle %d: %w", now, err)
-			}
-			if s.cfg.Progress != nil {
-				s.publishProgress(now)
-			}
+		if err := s.tick(now); err != nil {
+			return err
 		}
 		if halted {
 			running--
-		} else {
-			s.enqueue(next)
+			continue
+		}
+		if err := s.runAhead(next); err != nil {
+			return err
+		}
+		s.enqueue(next)
+	}
+	return nil
+}
+
+// runAhead steps p's ALU and branch instructions that follow its ordered
+// step, in the same turn. They read and write only p's registers and p's
+// own trace, so no other processor can observe when they run relative to
+// its own steps: the scheduler only has to order p's next load, store,
+// sync or halt. Run-ahead stops before any instruction the ordered loop
+// would treat differently — one at or past the next timeline boundary
+// (which counts every instruction executed before it), past the cycle
+// budget, at the instruction limit, or at a PC the thread would reject —
+// so every snapshot, trace and machine-error dump is the one the
+// instruction-by-instruction order produces. A processor the ordered step
+// blocked has readyAt == unblocked, which no stop admits.
+func (s *sim) runAhead(p *proc) error {
+	stop := s.cfg.Timeline.Boundary() // ^0 without a timeline
+	if s.cfg.MaxCycles > 0 && s.cfg.MaxCycles < stop {
+		stop = s.cfg.MaxCycles + 1
+	}
+	th := p.th
+	code := th.Prog.Instrs
+	for p.readyAt < stop && th.Executed < s.cfg.MaxInstrs && th.PC >= 0 && th.PC < len(code) {
+		if c := isa.Classify(code[th.PC].Op); c != isa.ClassALU && c != isa.ClassBranch {
+			return nil
+		}
+		now := p.readyAt
+		if _, err := s.step(p); err != nil {
+			return err
+		}
+		if err := s.tick(now); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tick counts one executed instruction machine-wide and, every
+// obs.PublishEvery of them, polls for cancellation and publishes progress.
+func (s *sim) tick(now uint64) error {
+	s.steps++
+	if s.steps&(obs.PublishEvery-1) == 0 {
+		if err := s.ctxErr(); err != nil {
+			return fmt.Errorf("tango: simulation canceled at cycle %d: %w", now, err)
+		}
+		if s.cfg.Progress != nil {
+			s.publishProgress(now)
 		}
 	}
 	return nil
@@ -545,19 +605,14 @@ func (s *sim) machineState() string {
 	return b.String()
 }
 
-// record appends a trace event for p's trace (if recorded) and returns its
-// index, or -1.
+// record appends ev to p's trace and returns its index, or -1 when p is
+// not recorded.
 func (s *sim) record(p *proc, ev trace.Event) int {
-	if s.trs != nil {
-		t := s.trs[p.id]
-		t.Events = append(t.Events, ev)
-		return len(t.Events) - 1
-	}
-	if s.tr == nil || p.id != s.cfg.TraceCPU {
+	if p.tr == nil {
 		return -1
 	}
-	s.tr.Events = append(s.tr.Events, ev)
-	return len(s.tr.Events) - 1
+	p.tr.Events = append(p.tr.Events, ev)
+	return len(p.tr.Events) - 1
 }
 
 // step executes one instruction on p, advancing its clock and possibly
@@ -570,12 +625,17 @@ func (s *sim) step(p *proc) (bool, error) {
 	}
 	p.stats.Instructions++
 
-	ev := trace.Event{
-		PC:     int32(info.PC),
-		Instr:  info.Instr,
-		Addr:   info.Addr,
-		Taken:  info.Taken,
-		NextPC: int32(info.NextPC),
+	// The event is built only for a recorded processor; the annotations
+	// filled in below land in a discarded zero value otherwise.
+	var ev trace.Event
+	if p.tr != nil {
+		ev = trace.Event{
+			PC:     int32(info.PC),
+			Instr:  info.Instr,
+			Addr:   info.Addr,
+			Taken:  info.Taken,
+			NextPC: int32(info.NextPC),
+		}
 	}
 
 	switch isa.Classify(info.Instr.Op) {
@@ -840,11 +900,7 @@ func (s *sim) patch(p *proc, latency, wait uint32, miss bool) {
 	if p.pendingEv < 0 {
 		return
 	}
-	t := s.tr
-	if s.trs != nil {
-		t = s.trs[p.id]
-	}
-	e := &t.Events[p.pendingEv]
+	e := &p.tr.Events[p.pendingEv]
 	e.Latency, e.Wait, e.Miss = latency, wait, miss
 	p.pendingEv = -1
 }
