@@ -17,14 +17,18 @@ package exp
 // and update the table alongside the change that justified it.
 
 import (
+	"strings"
 	"testing"
 
 	"dynsched/internal/apps"
+	"dynsched/internal/bpred"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
+	"dynsched/internal/golden"
+	"dynsched/internal/trace"
 )
 
-var golden = []struct {
+var smallGolden = []struct {
 	app         string
 	instrs      int
 	readMisses  uint64
@@ -43,7 +47,7 @@ func TestGoldenSmallScale(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = apps.ScaleSmall
 	e := New(opts)
-	for _, g := range golden {
+	for _, g := range smallGolden {
 		g := g
 		t.Run(g.app, func(t *testing.T) {
 			run, err := e.Run(g.app)
@@ -70,4 +74,38 @@ func TestGoldenSmallScale(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAblationGolden pins the store-buffer, MSHR and BTB ablation tables
+// (what `hidelat ablate` prints) byte for byte. Regenerate with
+//
+//	go test ./internal/exp -run TestAblationGolden -update
+func TestAblationGolden(t *testing.T) {
+	e := smallExp(t, "mp3d", "lu")
+	e.opts.Workers = 2
+	var out strings.Builder
+	for _, app := range e.Apps() {
+		sb, err := e.AblationStoreBuffer(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(FormatColumns("Store-buffer depth ablation, "+app, sb))
+		ms, err := e.AblationMSHR(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(FormatColumns("MSHR ablation, "+app, ms))
+		bt, err := e.AblationBTB(app, func(entries int) trace.Predictor {
+			b, err := bpred.NewBTB(entries, 4)
+			if err != nil {
+				panic(err)
+			}
+			return b
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(FormatColumns("BTB size ablation, "+app, bt))
+	}
+	golden.Check(t, "ablation.golden", []byte(out.String()))
 }

@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"dynsched/internal/apps"
 	"dynsched/internal/faultinject"
+	"dynsched/internal/obs"
 )
 
 // TestRunJobsLowestIndexError pins the determinism fix: index 7 fails
@@ -364,5 +366,104 @@ func TestRetryScheduleJitterAndCap(t *testing.T) {
 	}
 	if same {
 		t.Errorf("labels %q and %q share a retry schedule: %v", label, "lu SC-SS", sleeps)
+	}
+}
+
+// containmentOpts runs mp3d and lu with mp3d's generation failing and lu's
+// RC-DS64 cell of the named sweep panicking on every attempt.
+func containmentOpts(sweep string, board *obs.JobBoard) Options {
+	opts := DefaultOptions()
+	opts.Scale = apps.ScaleSmall
+	opts.Apps = []string{"mp3d", "lu"}
+	opts.Workers = 3
+	opts.Board = board
+	opts.Faults = faultinject.New()
+	opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
+	opts.Faults.Arm("cell.lu "+sweep+" RC-DS64", faultinject.Fault{Kind: faultinject.KindPanic, Times: 99})
+	return opts
+}
+
+// checkContainment asserts the containment contract shared by the analyze
+// and timeline sweeps: the failures are mp3d's generation (index 0) and lu's
+// RC-DS64 cell (index 1*nc+5), exactly those slots are marked, and the
+// board holds nothing queued or running.
+func checkContainment(t *testing.T, err error, failed [][]bool, board *obs.JobBoard) {
+	t.Helper()
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PartialError", err)
+	}
+	nc := len(failed[0])
+	var idx []int
+	for _, ce := range pe.Cells {
+		idx = append(idx, ce.Index)
+	}
+	if want := []int{0, 1*nc + 5}; !reflect.DeepEqual(idx, want) {
+		t.Errorf("failure indices = %v (%v), want %v", idx, pe.FailedLabels(), want)
+	}
+	if pe.Total != 2*nc {
+		t.Errorf("PartialError.Total = %d, want %d", pe.Total, 2*nc)
+	}
+	for a := range failed {
+		for c, f := range failed[a] {
+			if want := a == 0 || c == 5; f != want {
+				t.Errorf("slot %d/%d failed = %t, want %t", a, c, f, want)
+			}
+		}
+	}
+	if st := board.Status(); st.Queued != 0 || st.Running != 0 || st.Failed != 2 {
+		t.Errorf("board not drained: queued=%d running=%d failed=%d, want 0/0/2", st.Queued, st.Running, st.Failed)
+	}
+}
+
+// TestAnalyzeContainment: a failed generation and a panicking cell degrade
+// the analyze sweep to marked slots, and every healthy cell equals a clean
+// run's.
+func TestAnalyzeContainment(t *testing.T) {
+	board := obs.NewJobBoard()
+	rep, err := New(containmentOpts("analyze", board)).AnalyzeAll()
+	if rep == nil {
+		t.Fatalf("no partial report: %v", err)
+	}
+	failed := make([][]bool, len(rep.Apps))
+	for a, app := range rep.Apps {
+		for _, c := range app.Cells {
+			failed[a] = append(failed[a], c.Failed)
+		}
+	}
+	checkContainment(t, err, failed, board)
+	clean, err := smallExp(t, "lu").AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range clean.Apps[0].Cells {
+		if got := rep.Apps[1].Cells[c]; !got.Failed && !reflect.DeepEqual(got, want) {
+			t.Errorf("lu %s differs from a clean run:\n got %+v\nwant %+v", want.Label, got, want)
+		}
+	}
+}
+
+// TestTimelineContainment is TestAnalyzeContainment for the timeline sweep.
+func TestTimelineContainment(t *testing.T) {
+	board := obs.NewJobBoard()
+	rep, err := New(containmentOpts("timeline", board)).TimelineAll()
+	if rep == nil {
+		t.Fatalf("no partial report: %v", err)
+	}
+	failed := make([][]bool, len(rep.Apps))
+	for a, app := range rep.Apps {
+		for _, c := range app.Cells {
+			failed[a] = append(failed[a], c.Failed)
+		}
+	}
+	checkContainment(t, err, failed, board)
+	clean, err := smallExp(t, "lu").TimelineAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range clean.Apps[0].Cells {
+		if got := rep.Apps[1].Cells[c]; !got.Failed && !reflect.DeepEqual(got, want) {
+			t.Errorf("lu %s differs from a clean run:\n got %+v\nwant %+v", want.Label, got, want)
+		}
 	}
 }
