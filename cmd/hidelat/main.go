@@ -130,7 +130,6 @@ import (
 
 	"dynsched"
 	"dynsched/internal/apps"
-	"dynsched/internal/bpred"
 	"dynsched/internal/cache"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
@@ -138,7 +137,6 @@ import (
 	"dynsched/internal/dist"
 	"dynsched/internal/exp"
 	"dynsched/internal/obs"
-	"dynsched/internal/trace"
 )
 
 func main() {
@@ -967,13 +965,7 @@ func ablate(e *exp.Experiment) error {
 			return err
 		}
 		fmt.Print(exp.FormatColumns(fmt.Sprintf("MSHR ablation, %s (RC, window 64)", strings.ToUpper(app)), ms))
-		bt, err := e.AblationBTB(app, func(entries int) trace.Predictor {
-			b, err := bpred.NewBTB(entries, 4)
-			if err != nil {
-				panic(err)
-			}
-			return b
-		})
+		bt, err := e.AblationBTB(app)
 		if err != nil {
 			return err
 		}

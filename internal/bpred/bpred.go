@@ -34,16 +34,26 @@ type btbEntry struct {
 	lru     uint32
 }
 
+// CheckGeometry reports whether NewBTB accepts the geometry: a positive
+// entry count that the associativity divides into a power-of-two number of
+// sets.
+func CheckGeometry(entries, ways int) error {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+		return fmt.Errorf("bpred: bad geometry %d entries / %d ways", entries, ways)
+	}
+	if numSets := entries / ways; numSets&(numSets-1) != 0 {
+		return fmt.Errorf("bpred: number of sets %d not a power of two", numSets)
+	}
+	return nil
+}
+
 // NewBTB creates a BTB with the given total entry count and associativity.
 // entries/ways must be a power of two.
 func NewBTB(entries, ways int) (*BTB, error) {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		return nil, fmt.Errorf("bpred: bad geometry %d entries / %d ways", entries, ways)
+	if err := CheckGeometry(entries, ways); err != nil {
+		return nil, err
 	}
 	numSets := entries / ways
-	if numSets&(numSets-1) != 0 {
-		return nil, fmt.Errorf("bpred: number of sets %d not a power of two", numSets)
-	}
 	return &BTB{
 		entries: make([]btbEntry, entries),
 		clocks:  make([]uint32, numSets),

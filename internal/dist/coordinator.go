@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -275,11 +274,12 @@ func (s *Server) Close() error { return s.srv.Close() }
 // RunSweep drives one distributed sweep to completion: generate every
 // application's trace locally (bounded by the experiment's worker count),
 // publish each to the trace cache, enqueue its cells, wait for remote
-// workers to resolve them, and merge by cell index. The merged columns are
-// byte-identical to the in-process scheduler's at any worker count and
-// under any failure schedule; an application whose generation fails, and
-// any cell that exhausts its retry budget, degrade to FAILED columns plus
-// a *exp.PartialError, exactly like a local run.
+// workers to resolve them, and merge by cell index through exp.MergeSweep,
+// the in-process scheduler's own merge. The merged columns are therefore
+// byte-identical to a local run's at any worker count and under any
+// failure schedule; an application whose generation fails, and any cell
+// that exhausts its retry budget, degrade to FAILED columns plus a
+// *exp.PartialError.
 func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *Coordinator) ([]exp.AppColumns, error) {
 	apps := e.Apps()
 	nc := len(specs)
@@ -293,90 +293,36 @@ func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *
 		ctx = context.Background()
 	}
 
-	// Generate and enqueue, bounded like the local sweep's generation stage.
-	genWorkers := e.Options().Workers
-	if genWorkers < 1 {
-		genWorkers = 1
-	}
-	genCE := make([]*exp.CellError, len(apps))
-	sem := make(chan struct{}, genWorkers)
-	var wg sync.WaitGroup
-	for a, app := range apps {
-		wg.Add(1)
-		go func(a int, app string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			run, err := e.Run(app)
-			if err != nil {
-				// One failure entry for the whole app, mirroring perAppCells:
-				// its cells never enter the queue.
-				genCE[a] = &exp.CellError{
-					Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: err,
-				}
-				co.q.discount(nc)
-				return
+	// Generate and enqueue through the experiment's own generation pool.
+	genErrs := make([]error, len(apps))
+	e.RunEach(func(a int, run *exp.AppRun, err error) {
+		var buf bytes.Buffer
+		if err == nil {
+			if _, err = run.TraceView().WriteTo(&buf); err != nil {
+				err = fmt.Errorf("serialize trace: %w", err)
 			}
-			var buf bytes.Buffer
-			if _, err := run.TraceView().WriteTo(&buf); err != nil {
-				genCE[a] = &exp.CellError{
-					Label: app + " (trace generation)", Index: a * nc, Attempts: 1,
-					Err: fmt.Errorf("serialize trace: %w", err),
-				}
-				co.q.discount(nc)
-				return
+		}
+		if err != nil {
+			// The merge fails the whole app under one entry; its cells
+			// never enter the queue.
+			genErrs[a] = err
+			co.q.discount(nc)
+			return
+		}
+		addr := co.AddTrace(buf.Bytes())
+		co.q.addApp(a, apps[a], specs, addr)
+		// Serve cached cell results immediately: the cells resolve before
+		// any worker claims them, and the board reports them as cached.
+		// Misses stay queued for the workers.
+		for c, spec := range specs {
+			if b, instructions, ok := exp.CellCacheGet(co.cfg.Cache, addr, spec); ok {
+				co.q.satisfy(a*nc+c, b, instructions)
 			}
-			addr := co.AddTrace(buf.Bytes())
-			co.q.addApp(a, app, specs, addr)
-			// Serve cached cell results immediately: the cells resolve
-			// before any worker claims them, and the board reports them as
-			// cached. Misses stay queued for the workers.
-			for c, spec := range specs {
-				if b, instructions, ok := exp.CellCacheGet(co.cfg.Cache, addr, spec); ok {
-					co.q.satisfy(a*nc+c, b, instructions)
-				}
-			}
-		}(a, app)
-	}
-	wg.Wait()
+		}
+	})
 
 	if err := co.q.wait(ctx); err != nil {
 		return nil, fmt.Errorf("dist: sweep canceled: %w", err)
 	}
-
-	// Merge by cell index — the same layout perAppCells fills.
-	out := make([]exp.AppColumns, len(apps))
-	var failures []*exp.CellError
-	for a, app := range apps {
-		cols := make([]exp.Column, nc)
-		if ce := genCE[a]; ce != nil {
-			failures = append(failures, ce)
-			for c := range specs {
-				cols[c] = exp.FailedSpecColumn(specs[c], ce)
-			}
-			exp.NormalizeColumns(cols)
-			out[a] = exp.AppColumns{App: app, Cols: cols}
-			continue
-		}
-		for c := range specs {
-			b, instructions, cerr := co.q.outcome(a*nc + c)
-			if cerr != nil {
-				failures = append(failures, cerr)
-				cols[c] = exp.FailedSpecColumn(specs[c], cerr)
-				continue
-			}
-			col, err := exp.SpecColumn(specs[c], b, instructions)
-			if err != nil {
-				return nil, fmt.Errorf("dist: rebuild column %q: %w", specs[c].Label, err)
-			}
-			cols[c] = col
-		}
-		exp.NormalizeColumns(cols)
-		out[a] = exp.AppColumns{App: app, Cols: cols}
-	}
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		return out, &exp.PartialError{Total: len(apps) * nc, Cells: failures}
-	}
-	return out, nil
+	return exp.MergeSweep(apps, specs, genErrs, co.q.outcome)
 }

@@ -11,11 +11,9 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 	"dynsched/internal/critpath"
 	"dynsched/internal/obs"
@@ -49,132 +47,50 @@ type AnalyzeReport struct {
 	Apps []AnalyzeApp `json:"apps"`
 }
 
-// analyzeCells is the attribution matrix: BASE as the reference, the two
+// analyzeSpecs is the attribution matrix: BASE as the reference, the two
 // static models under RC, and the full DS window sweep under RC — the
 // sweep along which the paper's conclusion (memory-latency-bound at small
 // windows, branch-prediction-bound at large ones) must show up.
-func analyzeCells() []cell {
-	cells := []cell{{label: "BASE", arch: "BASE", model: consistency.SC}}
-	for _, arch := range []string{"SSBR", "SS"} {
-		cells = append(cells, cell{label: "RC-" + arch, arch: arch, model: consistency.RC})
+func analyzeSpecs() []CellSpec {
+	var specs []CellSpec
+	for _, s := range Figure3Specs() {
+		if s.Arch == "BASE" || s.Model == "RC" {
+			specs = append(specs, s)
+		}
 	}
-	for _, w := range Windows {
-		cells = append(cells, cell{label: fmt.Sprintf("RC-DS%d", w), arch: "DS", model: consistency.RC, window: w})
-	}
-	return cells
+	return specs
 }
 
-// AnalyzeAll generates every application's trace concurrently, then fans the
-// apps × cells attribution matrix out as one flat job list, each cell with
-// its own collector. Failure containment mirrors perAppCells: a failed
-// generation marks the application's cells, a failed cell is marked without
-// disturbing its neighbours, and partial results return a *PartialError.
+// AnalyzeAll runs the apps × cells attribution matrix through the sweep
+// scheduler with a critical-path collector attached to every cell. Failure
+// containment is the scheduler's: a failed generation marks the
+// application's cells, a failed cell is marked without disturbing its
+// neighbours, and partial results return a *PartialError.
 func (e *Experiment) AnalyzeAll() (*AnalyzeReport, error) {
-	appNames := e.Apps()
-	o := &e.opts
-	cells := analyzeCells()
-	nc := len(cells)
-
-	runs := make([]*AppRun, len(appNames))
-	genErrs := runJobsAll(o.Ctx, len(appNames), o.Workers, func(i int) error {
-		r, err := e.Run(appNames[i])
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
+	specs := analyzeSpecs()
+	cps := make([]*critpath.Collector, len(e.Apps())*len(specs))
+	acs, err := e.perAppCells(e.Apps(), specs, "analyze", func(i int) (*critpath.Collector, *obs.Timeline) {
+		cps[i] = critpath.NewCollector()
+		return cps[i], nil
 	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: analyze canceled: %w", err)
+	if acs == nil {
+		return nil, err
 	}
-
-	rep := &AnalyzeReport{Apps: make([]AnalyzeApp, len(appNames))}
-	for a, app := range appNames {
-		rep.Apps[a].App = app
-		rep.Apps[a].Cells = make([]AnalyzeCell, nc)
-		for c := range cells {
-			rep.Apps[a].Cells[c] = AnalyzeCell{Label: cells[c].label, Arch: cells[c].arch, Window: cells[c].window}
-		}
-	}
-
-	var failed []*CellError
-	markFailed := func(a, c int, ce *CellError) {
-		slot := &rep.Apps[a].Cells[c]
-		slot.Failed = true
-		slot.Err = ce
-		slot.Error = ce.Error()
-	}
-	for a, gerr := range genErrs {
-		if gerr == nil {
-			continue
-		}
-		ce := &CellError{Label: appNames[a] + " (trace generation)", Index: a * nc, Attempts: 1, Err: gerr}
-		failed = append(failed, ce)
-		for c := range cells {
-			markFailed(a, c, ce)
-		}
-	}
-
-	type cellJob struct{ a, c, job int }
-	var cjs []cellJob
-	for a := range appNames {
-		if genErrs[a] != nil {
-			continue
-		}
-		for c := range cells {
-			cjs = append(cjs, cellJob{a, c, o.Board.Enqueue(appNames[a] + " analyze " + cells[c].label)})
-		}
-	}
-	cellErrs := runJobsAll(o.Ctx, len(cjs), o.Workers, func(j int) error {
-		cj := cjs[j]
-		site := appNames[cj.a] + " analyze " + cells[cj.c].label
-		o.Board.Start(cj.job)
-		cerr := o.attempt(site, cj.a*nc+cj.c, func() error {
-			if err := o.Faults.Fire("cell." + site); err != nil {
-				return err
+	rep := &AnalyzeReport{Apps: make([]AnalyzeApp, len(acs))}
+	for a, ac := range acs {
+		rep.Apps[a] = AnalyzeApp{App: ac.App, Cells: make([]AnalyzeCell, len(ac.Cols))}
+		for c, col := range ac.Cols {
+			cell := &rep.Apps[a].Cells[c]
+			*cell = AnalyzeCell{Label: col.Label, Arch: col.Arch, Window: col.Window}
+			if col.Failed {
+				cell.Failed, cell.Err, cell.Error = true, col.Err, col.Err.Error()
+				continue
 			}
-			// A fresh collector per attempt: a retried cell must not
-			// accumulate the failed attempt's partial charges.
-			cl := cells[cj.c]
-			cp := critpath.NewCollector()
-			cfg := cpu.Config{Model: cl.model, Window: cl.window, Ctx: o.Ctx, NoTimeSkip: o.NoTimeSkip, CritPath: cp}
-			if cl.mutate != nil {
-				cl.mutate(&cfg)
-			}
-			res, err := runArch(runs[cj.a].Trace, cl.arch, cfg)
-			if err != nil {
-				return err
-			}
-			slot := &rep.Apps[cj.a].Cells[cj.c]
-			slot.Breakdown = res.Breakdown
-			slot.Instructions = res.Instructions
-			slot.Attr = cp.Attribution()
-			return nil
-		})
-		if cerr != nil {
-			o.Board.Finish(cj.job, cerr)
-			return cerr
+			cell.Breakdown, cell.Instructions = col.Breakdown, col.Instructions
+			cell.Attr = cps[a*len(specs)+c].Attribution()
 		}
-		o.Board.Finish(cj.job, nil)
-		return nil
-	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: analyze canceled: %w", err)
 	}
-	for j, err := range cellErrs {
-		if err == nil {
-			continue
-		}
-		ce := err.(*CellError)
-		markFailed(cjs[j].a, cjs[j].c, ce)
-		failed = append(failed, ce)
-	}
-
-	if failed != nil {
-		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
-		return rep, &PartialError{Total: len(appNames) * nc, Cells: failed}
-	}
-	return rep, nil
+	return rep, err
 }
 
 // WindowDominant is one point of the sweep-level summary: the dominant

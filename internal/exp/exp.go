@@ -233,6 +233,19 @@ func (e *Experiment) RunAll(names ...string) ([]*AppRun, error) {
 	return runs, nil
 }
 
+// RunEach generates every configured application's trace concurrently,
+// bounded by Options.Workers, and hands each outcome to fn with the
+// application's index. Unlike RunAll, a failed generation does not stop the
+// others.
+func (e *Experiment) RunEach(fn func(a int, run *AppRun, err error)) {
+	apps := e.Apps()
+	runJobs(len(apps), e.opts.Workers, func(a int) error {
+		run, err := e.Run(apps[a])
+		fn(a, run, err)
+		return nil
+	})
+}
+
 // generate performs one application's trace generation (the multiprocessor
 // simulation), result check, and validation.
 func (e *Experiment) generate(app string) (run *AppRun, err error) {
@@ -468,49 +481,32 @@ func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
 	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
 }
 
-// figure3Cells is the §4.1 processor/model matrix, derived from the
-// serializable Figure3Specs so the local and distributed sweeps replay the
-// identical cell list.
-func figure3Cells() []cell {
-	return specCells(Figure3Specs())
-}
-
-// Figure3 runs the §4.1 processor/model matrix over one application trace,
-// fanning the independent replays across GOMAXPROCS workers.
-func Figure3(tr *trace.Trace) ([]Column, error) {
-	return runCells(tr, figure3Cells(), 0, nil, "", new(Options))
-}
-
-// figure4Cells is the §4.1.3 isolation experiment under RC, derived from the
-// serializable Figure4Specs.
-func figure4Cells() []cell {
-	return specCells(Figure4Specs())
-}
-
-// Figure4 runs the §4.1.3 isolation experiment over one application trace,
-// fanning the independent replays across GOMAXPROCS workers.
-func Figure4(tr *trace.Trace) ([]Column, error) {
-	return runCells(tr, figure4Cells(), 0, nil, "", new(Options))
-}
-
-// windowSweepCells is the DS window sweep under a model with BASE as the
-// reference column (used by the latency-100 and multiple-issue experiments
-// and the ablations).
-func windowSweepCells(model consistency.Model, mutate func(*cpu.Config)) []cell {
-	cells := []cell{{label: "BASE", arch: "BASE"}}
-	for _, w := range Windows {
-		cells = append(cells, cell{
-			label: fmt.Sprintf("%s-DS%d", model, w), arch: "DS", model: model,
-			window: w, mutate: mutate,
-		})
+// replaySpecs replays specs over one trace, fanning the cells across
+// GOMAXPROCS workers, and returns the columns in spec order, normalized.
+// The lowest-index failure aborts the sweep.
+func replaySpecs(tr *trace.Trace, specs []CellSpec) ([]Column, error) {
+	cols := make([]Column, len(specs))
+	err := runJobs(len(specs), 0, func(i int) (err error) {
+		cols[i], err = RunSpec(tr, specs[i], nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cells
+	normalize(cols)
+	return cols, nil
 }
 
-// WindowSweep runs the DS processor across the window sizes under a model,
-// fanning the independent replays across GOMAXPROCS workers.
-func WindowSweep(tr *trace.Trace, model consistency.Model, mutate func(*cpu.Config)) ([]Column, error) {
-	return runCells(tr, windowSweepCells(model, mutate), 0, nil, "", new(Options))
+// Figure3 runs the §4.1 processor/model matrix over one application trace.
+func Figure3(tr *trace.Trace) ([]Column, error) { return replaySpecs(tr, Figure3Specs()) }
+
+// Figure4 runs the §4.1.3 isolation experiment over one application trace.
+func Figure4(tr *trace.Trace) ([]Column, error) { return replaySpecs(tr, Figure4Specs()) }
+
+// WindowSweep runs the DS processor across the window sizes under a model
+// over one application trace.
+func WindowSweep(tr *trace.Trace, model consistency.Model) ([]Column, error) {
+	return replaySpecs(tr, WindowSweepSpecs(model))
 }
 
 // ReadHiddenSummary reproduces the concluding statistic of §7: the average

@@ -21,11 +21,9 @@ import (
 	"testing"
 
 	"dynsched/internal/apps"
-	"dynsched/internal/bpred"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 	"dynsched/internal/golden"
-	"dynsched/internal/trace"
 )
 
 var smallGolden = []struct {
@@ -95,13 +93,7 @@ func TestAblationGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		out.WriteString(FormatColumns("MSHR ablation, "+app, ms))
-		bt, err := e.AblationBTB(app, func(entries int) trace.Predictor {
-			b, err := bpred.NewBTB(entries, 4)
-			if err != nil {
-				panic(err)
-			}
-			return b
-		})
+		bt, err := e.AblationBTB(app)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"dynsched/internal/mem"
 	"dynsched/internal/resched"
 	"dynsched/internal/tango"
-	"dynsched/internal/trace"
 	"dynsched/internal/vm"
 )
 
@@ -26,18 +25,18 @@ type AppColumns struct {
 // concurrently, then the full apps × configurations matrix fans out across
 // Options.Workers.
 func (e *Experiment) Figure3All() ([]AppColumns, error) {
-	return e.perAppCells(figure3Cells())
+	return e.perAppCells(e.Apps(), Figure3Specs(), "", nil)
 }
 
 // Figure4All runs Figure 4 for every application.
 func (e *Experiment) Figure4All() ([]AppColumns, error) {
-	return e.perAppCells(figure4Cells())
+	return e.perAppCells(e.Apps(), Figure4Specs(), "", nil)
 }
 
 // Issue4All runs the §4.2 multiple-issue experiment: the RC window sweep
 // with a decode/issue width of four.
 func (e *Experiment) Issue4All() ([]AppColumns, error) {
-	return e.perAppCells(specCells(Issue4Specs()))
+	return e.perAppCells(e.Apps(), Issue4Specs(), "", nil)
 }
 
 // SCPrefetchAll evaluates the non-binding-prefetch technique of reference
@@ -46,7 +45,7 @@ func (e *Experiment) Issue4All() ([]AppColumns, error) {
 // miss. The SC+PF columns can be compared against plain SC and RC from
 // Figure 3.
 func (e *Experiment) SCPrefetchAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(SCPrefetchSpecs()))
+	return e.perAppCells(e.Apps(), SCPrefetchSpecs(), "", nil)
 }
 
 // MissDistanceReport renders the §4.1.3 distance-between-read-misses
@@ -73,13 +72,13 @@ func (e *Experiment) MissDistanceReport() (string, error) {
 // WindowSweepAll runs the plain RC window sweep for every application; with
 // Options.MissPenalty set to 100 this is the §4.2 higher-latency experiment.
 func (e *Experiment) WindowSweepAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(WindowSweepSpecs(consistency.RC)))
+	return e.perAppCells(e.Apps(), WindowSweepSpecs(consistency.RC), "", nil)
 }
 
 // WOAll evaluates the weak ordering model (described in §2.1 but not
 // plotted in the paper) across the window sweep — an extension experiment.
 func (e *Experiment) WOAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(WindowSweepSpecs(consistency.WO)))
+	return e.perAppCells(e.Apps(), WindowSweepSpecs(consistency.WO), "", nil)
 }
 
 // FormatAppColumns renders one figure for all applications.
@@ -143,42 +142,43 @@ func (e *Experiment) DelayReport() (string, error) {
 	return sb.String(), nil
 }
 
-// AblationStoreBuffer sweeps the DS store-buffer depth under RC at window 64.
-func (e *Experiment) AblationStoreBuffer(app string) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
+// ablation runs one application's ablation sweep: the BASE reference
+// column followed by specs. A failed trace generation is returned as the
+// error itself rather than as a sweep of failed cells.
+func (e *Experiment) ablation(app string, specs []CellSpec) ([]Column, error) {
+	if _, err := e.Run(app); err != nil {
 		return nil, err
 	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
+	specs = append([]CellSpec{{Label: "BASE", Arch: "BASE", Model: "SC"}}, specs...)
+	acs, err := e.perAppCells([]string{app}, specs, "", nil)
+	if acs == nil {
+		return nil, err
+	}
+	return acs[0].Cols, err
+}
+
+// AblationStoreBuffer sweeps the DS store-buffer depth under RC at window 64.
+func (e *Experiment) AblationStoreBuffer(app string) ([]Column, error) {
+	var specs []CellSpec
 	for _, depth := range []int{1, 2, 4, 8, 16, 32} {
-		depth := depth
-		cells = append(cells, cell{
-			label: fmt.Sprintf("SB%d", depth), arch: "DS", model: consistency.RC, window: 64,
-			mutate: func(c *cpu.Config) { c.StoreBufDepth = depth },
+		specs = append(specs, CellSpec{
+			Label: fmt.Sprintf("SB%d", depth), Arch: "DS", Model: "RC", Window: 64, StoreBufDepth: depth,
 		})
 	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
+	return e.ablation(app, specs)
 }
 
 // AblationMSHR sweeps the number of outstanding misses allowed.
 func (e *Experiment) AblationMSHR(app string) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
-		return nil, err
-	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
+	var specs []CellSpec
 	for _, n := range []int{1, 2, 4, 8, 16, 0} {
-		n := n
 		label := fmt.Sprintf("MSHR%d", n)
 		if n == 0 {
 			label = "MSHRinf"
 		}
-		cells = append(cells, cell{
-			label: label, arch: "DS", model: consistency.RC, window: 64,
-			mutate: func(c *cpu.Config) { c.MSHRs = n },
-		})
+		specs = append(specs, CellSpec{Label: label, Arch: "DS", Model: "RC", Window: 64, MSHRs: n})
 	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
+	return e.ablation(app, specs)
 }
 
 // MachineRow is one machine size of the processor-count sweep.
@@ -532,22 +532,14 @@ func FormatCacheGeom(app string, rows []CacheGeomRow) string {
 	return sb.String()
 }
 
-// AblationBTB sweeps the BTB size at window 128 under RC, isolating how much
-// prediction capacity the large windows need.
-func (e *Experiment) AblationBTB(app string, mkBTB func(entries int) trace.Predictor) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
-		return nil, err
-	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
+// AblationBTB sweeps the 4-way BTB size at window 128 under RC, isolating
+// how much prediction capacity the large windows need.
+func (e *Experiment) AblationBTB(app string) ([]Column, error) {
+	var specs []CellSpec
 	for _, entries := range []int{64, 256, 1024, 2048, 8192} {
-		entries := entries
-		cells = append(cells, cell{
-			label: fmt.Sprintf("BTB%d", entries), arch: "DS", model: consistency.RC, window: 128,
-			// mkBTB runs inside the job so each concurrent replay gets its
-			// own predictor state.
-			mutate: func(c *cpu.Config) { c.Predictor = mkBTB(entries) },
+		specs = append(specs, CellSpec{
+			Label: fmt.Sprintf("BTB%d", entries), Arch: "DS", Model: "RC", Window: 128, BTBEntries: entries,
 		})
 	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
+	return e.ablation(app, specs)
 }

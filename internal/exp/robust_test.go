@@ -73,29 +73,6 @@ func TestRunJobsRunsEverythingBelowFailure(t *testing.T) {
 	}
 }
 
-func TestRunJobsAllCollectsEveryError(t *testing.T) {
-	bad := map[int]error{5: errors.New("five"), 12: errors.New("twelve")}
-	for _, workers := range []int{0, 1, 4} {
-		const n = 20
-		ran := make([]bool, n)
-		var mu sync.Mutex
-		errs := runJobsAll(nil, n, workers, func(i int) error {
-			mu.Lock()
-			ran[i] = true
-			mu.Unlock()
-			return bad[i]
-		})
-		for i := 0; i < n; i++ {
-			if !ran[i] {
-				t.Fatalf("workers=%d: index %d never ran despite failures elsewhere", workers, i)
-			}
-			if !errors.Is(errs[i], bad[i]) {
-				t.Fatalf("workers=%d: errs[%d] = %v, want %v", workers, i, errs[i], bad[i])
-			}
-		}
-	}
-}
-
 func TestAttemptRetriesTransientThenSucceeds(t *testing.T) {
 	o := &Options{Retries: 2, RetryBackoff: time.Millisecond}
 	calls := 0

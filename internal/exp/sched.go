@@ -4,22 +4,21 @@ package exp
 // embarrassingly-parallel sweep — five applications × processor models ×
 // consistency models × window sizes — and every cell of it is an independent
 // replay of a shared immutable trace, the same fan-out the paper's own
-// methodology uses (one Tango trace, many uniprocessor replays). runJobs is
-// the bounded worker pool all of the harness's fan-outs go through; results
-// are always stored by input index, so every table, figure, and golden
-// artifact is byte-identical regardless of the worker count — including
-// failure output: errors are selected by index, never by completion time.
+// methodology uses (one Tango trace, many uniprocessor replays).
+// perAppCells is the pipelined pool every apps × cells sweep goes through;
+// runJobs bounds the remaining per-application fan-outs. Results are always
+// stored by input index, so every table, figure, and golden artifact is
+// byte-identical regardless of the worker count — including failure
+// output: errors are selected by index, never by completion time.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
+	"dynsched/internal/critpath"
 	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
@@ -89,169 +88,56 @@ func runJobs(n, workers int, fn func(int) error) error {
 	return nil
 }
 
-// runJobsAll executes fn(0..n-1) like runJobs but never stops on failure:
-// every job runs and the per-index errors are returned, errs[i] holding
-// fn(i)'s error. This is the graceful-degradation counterpart of runJobs,
-// used by the sweeps that finish the healthy cells and report partial
-// results. Cancellation is the one early exit: once ctx is done, unclaimed
-// jobs are marked with the context error instead of running.
-func runJobsAll(ctx context.Context, n, workers int, fn func(int) error) []error {
-	errs := make([]error, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctxDone(ctx); err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = fn(i)
-		}
-		return errs
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctxDone(ctx); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
-}
+// observers is the per-cell hook of the analyze and timeline sweeps:
+// called on every attempt of cell i (a*len(specs)+c), it returns fresh
+// observers to attach to that replay, so a retried cell never accumulates
+// a failed attempt's partial record. Either may be nil.
+type observers func(i int) (*critpath.Collector, *obs.Timeline)
 
-// cell is one independent bar of a figure or sweep: a processor
-// configuration to replay over a trace.
-type cell struct {
-	label  string
-	arch   string // "BASE", "SSBR", "SS", "DS"
-	model  consistency.Model
-	window int
-	mutate func(*cpu.Config) // optional extra configuration
-
-	// spec is the serializable identity of a spec-derived cell, the result
-	// cache's key material. Ablation cells built from raw closures leave it
-	// nil and are never cached: a closure has no stable identity to key by.
-	spec *CellSpec
-}
-
-func (c cell) run(tr *trace.Trace, o *Options) (Column, error) {
-	cfg := cpu.Config{Model: c.model, Window: c.window, Ctx: o.Ctx, NoTimeSkip: o.NoTimeSkip}
-	if c.mutate != nil {
-		c.mutate(&cfg)
-	}
-	res, err := runArch(tr, c.arch, cfg)
-	if err != nil {
-		return Column{}, err
-	}
-	return Column{
-		Label: c.label, Model: c.model, Arch: c.arch, Window: c.window,
-		Breakdown: res.Breakdown, Instructions: res.Instructions,
-	}, nil
-}
-
-// failedColumn is the placeholder a terminally failed cell leaves in its
-// slot: the configuration identity survives so tables can mark the row, the
-// numbers stay zero.
-func failedColumn(c cell, err *CellError) Column {
-	return Column{Label: c.label, Model: c.model, Arch: c.arch, Window: c.window, Failed: true, Err: err}
-}
-
-// runCell executes one cell under the full containment stack — fault-
-// injection site, panic isolation, retry — and stores the column on success.
-// site is the cell's sweep-unique label ("mp3d RC-DS64").
-func runCell(tr *trace.Trace, c cell, o *Options, site string, index int, slot *Column) *CellError {
-	return o.attempt(site, index, func() error {
+// runCell replays spec over tr under the full containment stack — fault-
+// injection site, panic isolation, retry. site is the cell's sweep-unique
+// label ("mp3d RC-DS64"); observe (nil-safe) attaches observers per attempt.
+func runCell(tr *trace.Trace, spec CellSpec, o *Options, site string, index int, observe observers) (res cpu.Result, cerr *CellError) {
+	cerr = o.attempt(site, index, func() error {
 		if err := o.Faults.Fire("cell." + site); err != nil {
 			return err
 		}
-		col, err := c.run(tr, o)
-		if err != nil {
-			return err
+		cfg := spec.config(o)
+		if observe != nil {
+			cfg.CritPath, cfg.Timeline = observe(index)
 		}
-		*slot = col
-		return nil
+		var err error
+		res, err = runArch(tr, spec.Arch, cfg)
+		return err
 	})
+	return res, cerr
 }
 
-// runCells replays every cell over tr, fanning the independent replays
-// across workers, and returns the columns in cell order, normalized. Every
-// cell is enqueued on board (nil-safe) under labelPrefix before the fan-out
-// starts, so the live /jobs endpoint shows the whole queue up front. Failed
-// cells do not abort the sweep: the healthy columns are returned alongside
-// a *PartialError describing the failures, and the failed slots are marked.
-// Cancellation aborts with the context error and no results.
-func runCells(tr *trace.Trace, cells []cell, workers int, board *obs.JobBoard, labelPrefix string, o *Options) ([]Column, error) {
-	jobs := make([]int, len(cells))
-	for i := range cells {
-		jobs[i] = board.Enqueue(labelPrefix + cells[i].label)
-	}
-	cols := make([]Column, len(cells))
-	errs := runJobsAll(o.Ctx, len(cells), workers, func(i int) error {
-		board.Start(jobs[i])
-		cerr := runCell(tr, cells[i], o, labelPrefix+cells[i].label, i, &cols[i])
-		if cerr != nil {
-			board.Finish(jobs[i], cerr)
-			return cerr
-		}
-		board.Finish(jobs[i], nil)
-		return nil
-	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: sweep canceled: %w", err)
-	}
-	var failed []*CellError
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		ce := err.(*CellError)
-		cols[i] = failedColumn(cells[i], ce)
-		failed = append(failed, ce)
-	}
-	normalize(cols)
-	if failed != nil {
-		return cols, &PartialError{Total: len(cells), Cells: failed}
-	}
-	return cols, nil
-}
-
-// perAppCells runs the full apps × cells matrix — the scheduler's main
-// entry point for figures and sweeps. Trace generation and replay are
-// pipelined through one worker pool: every application's generation is
-// enqueued up front, and the moment a generation completes its replay
-// cells become claimable, so workers replay finished traces while other
-// applications are still generating — there is no barrier between the two
-// phases. Results land in by-index slots and failures are keyed by cell
-// index, so the output is byte-identical to the former generate-then-fan
-// two-phase schedule at any worker count. Failure is contained at both
-// stages: an application whose trace generation fails has all its cells
-// marked failed while the other applications' sweeps complete, and a
-// failed cell is marked without disturbing its neighbours. The partial
-// results come back alongside a *PartialError; only cancellation aborts
-// outright.
-func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
-	apps := e.Apps()
+// perAppCells runs the apps × specs matrix — the scheduler's one entry
+// point for figures, sweeps, ablations and the analyze and timeline
+// reports. Trace generation and replay are pipelined through one worker
+// pool: every application's generation is enqueued up front, and the
+// moment a generation completes its replay cells become claimable, so
+// workers replay finished traces while other applications are still
+// generating. Outcomes land in by-index slots and MergeSweep assembles
+// them, so the output is byte-identical at any worker count. Failure is
+// contained at both stages: an application whose trace generation fails
+// has all its cells marked failed while the other applications' sweeps
+// complete, and a failed cell is marked without disturbing its neighbours.
+// The partial results come back alongside a *PartialError; only
+// cancellation aborts outright.
+//
+// kind names a report sweep ("analyze", "timeline"): its cells' fault and
+// board sites read "lu analyze RC-DS64" rather than "lu RC-DS64". observe
+// attaches the report's per-cell observers; because those need the replay
+// itself, such a sweep never consults the result cache.
+func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, observe observers) ([]AppColumns, error) {
 	o := &e.opts
-	nc := len(cells)
+	nc := len(specs)
+	sitePrefix := " "
+	if kind != "" {
+		sitePrefix = " " + kind + " "
+	}
 
 	workers := o.Workers
 	if workers <= 0 {
@@ -263,12 +149,8 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 
 	runs := make([]*AppRun, len(apps))
 	genErrs := make([]error, len(apps))
-	cellErrs := make([][]error, len(apps))
-	cols := make([][]Column, len(apps))
-	for i := range apps {
-		cols[i] = make([]Column, nc)
-		cellErrs[i] = make([]error, nc)
-	}
+	results := make([]cellResult, len(apps)*nc)
+	cellErrs := make([]*CellError, len(apps)*nc)
 
 	// The job stream: c == -1 generates app a's trace; c >= 0 replays one
 	// cell over it. The channel is buffered for every job that can ever
@@ -319,31 +201,35 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 					done()
 					continue
 				}
-				site := apps[a] + " " + cells[c].label
+				i, spec := a*nc+c, specs[c]
+				site := apps[a] + sitePrefix + spec.Label
 				bj := o.Board.Enqueue(site)
 				tr := runs[a].TraceView()
 				// A cell already in the result cache skips its replay but
 				// lands in the same by-index slot, so the merged output is
 				// byte-identical to a cold run. The board reports it as
 				// cached rather than done, keeping ETA estimates honest.
-				if handled, cerr := o.cacheHit(tr, cells[c], runs[a].addr, site, a*nc+c, &cols[a][c]); handled {
-					if cerr != nil {
-						cellErrs[a][c] = cerr
-						o.Board.Finish(bj, cerr)
-					} else {
-						o.Board.FinishCached(bj)
+				if observe == nil {
+					if r, hit, cerr := o.cacheHit(tr, spec, runs[a].addr, site, i); hit {
+						results[i], cellErrs[i] = r, cerr
+						if cerr != nil {
+							o.Board.Finish(bj, cerr)
+						} else {
+							o.Board.FinishCached(bj)
+						}
+						done()
+						continue
 					}
-					done()
-					continue
 				}
 				o.Board.Start(bj)
-				cerr := runCell(tr, cells[c], o, site, a*nc+c, &cols[a][c])
+				res, cerr := runCell(tr, spec, o, site, i, observe)
 				if cerr != nil {
-					cellErrs[a][c] = cerr
+					cellErrs[i] = cerr
 					o.Board.Finish(bj, cerr)
 				} else {
-					if sp := cells[c].spec; sp != nil {
-						CellCachePut(o.Cache, runs[a].addr, *sp, cols[a][c].Breakdown, cols[a][c].Instructions)
+					results[i] = cellResult{res.Breakdown, res.Instructions}
+					if observe == nil {
+						CellCachePut(o.Cache, runs[a].addr, spec, res.Breakdown, res.Instructions)
 					}
 					o.Board.Finish(bj, nil)
 				}
@@ -353,38 +239,14 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 	}
 	wg.Wait()
 	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: sweep canceled: %w", err)
-	}
-
-	out := make([]AppColumns, len(apps))
-	var failed []*CellError
-	for a, app := range apps {
-		out[a].App = app
-		if genErrs[a] != nil {
-			ce := &CellError{Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: genErrs[a]}
-			failed = append(failed, ce)
-			for c := range cells {
-				cols[a][c] = failedColumn(cells[c], ce)
-			}
-		} else {
-			for c := range cells {
-				if err := cellErrs[a][c]; err != nil {
-					ce := err.(*CellError)
-					cols[a][c] = failedColumn(cells[c], ce)
-					failed = append(failed, ce)
-				}
-			}
+		if kind == "" {
+			kind = "sweep"
 		}
-		normalize(cols[a])
-		out[a].Cols = cols[a]
+		return nil, fmt.Errorf("exp: %s canceled: %w", kind, err)
 	}
-	if failed != nil {
-		// The loop above emits failures in index order already; keep the
-		// sort as a guard so the report is stable at any worker count.
-		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
-		return out, &PartialError{Total: len(apps) * nc, Cells: failed}
-	}
-	return out, nil
+	return MergeSweep(apps, specs, genErrs, func(i int) (cpu.Breakdown, uint64, *CellError) {
+		return results[i].Breakdown, results[i].Instructions, cellErrs[i]
+	})
 }
 
 // perAppJobs runs fn once per configured application with its generated

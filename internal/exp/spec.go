@@ -1,17 +1,17 @@
 package exp
 
-// Serializable cell specifications. A sweep cell is normally a closure over
-// cpu.Config, which cannot cross a process boundary; CellSpec is the
-// closed, wire-encodable subset that covers every distributable sweep (the
-// figure matrices and window sweeps). The local figure constructors derive
-// their cell lists from the same specs, so the in-process and distributed
-// matrices cannot drift apart — a coordinator shipping Figure3Specs() to
-// remote workers replays exactly the cells Figure3All runs locally, and the
-// merged results are byte-identical. Ablations that need arbitrary closures
-// (predictor construction, buffer depths) stay local-only.
+// Serializable cell specifications. CellSpec is the one form a sweep cell
+// takes: a closed, wire-encodable record of the architecture, consistency
+// model, window and named knobs. Every sweep is built from specs — the
+// figure matrices, the window sweeps, the ablations and the analyze and
+// timeline matrices — so the in-process and distributed matrices cannot
+// drift apart: a coordinator shipping Figure3Specs() to remote workers
+// replays exactly the cells Figure3All runs locally, and the merged results
+// are byte-identical.
 
 import (
 	"fmt"
+	"sort"
 
 	"dynsched/internal/bpred"
 	"dynsched/internal/consistency"
@@ -21,8 +21,9 @@ import (
 
 // CellSpec names one replay cell of a figure or sweep in closed form: the
 // architecture, consistency model, window, and the handful of named knobs
-// the paper's experiments use. The zero value of each knob means "leave the
-// default", so a spec round-trips through JSON without loss.
+// the paper's experiments and ablations use. The zero value of each knob
+// means "leave the default", so a spec round-trips through JSON without
+// loss.
 type CellSpec struct {
 	Label          string `json:"label"`
 	Arch           string `json:"arch"`  // "BASE", "SSBR", "SS", "DS"
@@ -32,7 +33,14 @@ type CellSpec struct {
 	Prefetch       bool   `json:"prefetch,omitempty"`
 	PerfectBP      bool   `json:"perfect_bp,omitempty"`
 	IgnoreDataDeps bool   `json:"ignore_data_deps,omitempty"`
+	StoreBufDepth  int    `json:"store_buf_depth,omitempty"`
+	MSHRs          int    `json:"mshrs,omitempty"`       // 0 = unlimited
+	BTBEntries     int    `json:"btb_entries,omitempty"` // 4-way; 0 = the paper's BTB
 }
+
+// maxBTBEntries bounds a spec's BTB so a wire value cannot make a worker
+// allocate an arbitrarily large table.
+const maxBTBEntries = 1 << 20
 
 // Validate rejects specs that could not have come from a spec constructor —
 // the coordinator and worker both call it before trusting a wire value.
@@ -51,47 +59,64 @@ func (s CellSpec) Validate() error {
 	if s.IssueWidth < 0 || s.IssueWidth > 64 {
 		return fmt.Errorf("exp: spec %q: issue width %d out of range", s.Label, s.IssueWidth)
 	}
+	if s.StoreBufDepth < 0 || s.MSHRs < 0 {
+		return fmt.Errorf("exp: spec %q: negative store-buffer depth %d or MSHR count %d", s.Label, s.StoreBufDepth, s.MSHRs)
+	}
+	if s.BTBEntries != 0 {
+		if s.PerfectBP {
+			return fmt.Errorf("exp: spec %q: perfect prediction and a BTB size are exclusive", s.Label)
+		}
+		if s.BTBEntries > maxBTBEntries {
+			return fmt.Errorf("exp: spec %q: %d BTB entries out of range", s.Label, s.BTBEntries)
+		}
+		if err := bpred.CheckGeometry(s.BTBEntries, 4); err != nil {
+			return fmt.Errorf("exp: spec %q: %w", s.Label, err)
+		}
+	}
 	return nil
 }
 
-// cell converts the spec to the scheduler's internal cell form.
-func (s CellSpec) cell() (cell, error) {
-	if err := s.Validate(); err != nil {
-		return cell{}, err
-	}
+// config is the replay configuration a valid spec names. The harness
+// options contribute only cancellation and the time-skip toggle, neither of
+// which changes results. A BTB is built fresh on every call, so concurrent
+// replays never share predictor state.
+func (s CellSpec) config(o *Options) cpu.Config {
 	m, _ := consistency.ParseModel(s.Model)
-	spec := s
-	c := cell{label: s.Label, arch: s.Arch, model: m, window: s.Window, spec: &spec}
-	if s.IssueWidth != 0 || s.Prefetch || s.PerfectBP || s.IgnoreDataDeps {
-		s := s
-		c.mutate = func(cfg *cpu.Config) {
-			if s.IssueWidth != 0 {
-				cfg.IssueWidth = s.IssueWidth
-			}
-			if s.Prefetch {
-				cfg.Prefetch = true
-			}
-			if s.PerfectBP {
-				cfg.Predictor = bpred.Perfect{}
-			}
-			cfg.IgnoreDataDeps = s.IgnoreDataDeps
-		}
+	cfg := cpu.Config{
+		Model: m, Window: s.Window, IssueWidth: s.IssueWidth,
+		StoreBufDepth: s.StoreBufDepth, MSHRs: s.MSHRs,
+		Prefetch: s.Prefetch, IgnoreDataDeps: s.IgnoreDataDeps,
+		Ctx: o.Ctx, NoTimeSkip: o.NoTimeSkip,
 	}
-	return c, nil
+	switch {
+	case s.PerfectBP:
+		cfg.Predictor = bpred.Perfect{}
+	case s.BTBEntries != 0:
+		btb, err := bpred.NewBTB(s.BTBEntries, 4)
+		if err != nil {
+			panic(err) // Validate rejects every geometry NewBTB does
+		}
+		cfg.Predictor = btb
+	}
+	return cfg
 }
 
-// specCells converts a constructor-produced spec list; the constructors only
-// emit valid specs, so a failure here is a programming error.
-func specCells(specs []CellSpec) []cell {
-	cells := make([]cell, len(specs))
-	for i, s := range specs {
-		c, err := s.cell()
-		if err != nil {
-			panic(err)
-		}
-		cells[i] = c
+// column is the spec's Figure 3 column for the replayed numbers.
+func (s CellSpec) column(b cpu.Breakdown, instructions uint64) Column {
+	m, _ := consistency.ParseModel(s.Model)
+	return Column{
+		Label: s.Label, Model: m, Arch: s.Arch, Window: s.Window,
+		Breakdown: b, Instructions: instructions,
 	}
-	return cells
+}
+
+// failedColumn is the placeholder a terminally failed cell leaves in its
+// slot: the configuration identity survives so tables can mark the row, the
+// numbers stay zero.
+func failedColumn(s CellSpec, err *CellError) Column {
+	col := s.column(cpu.Breakdown{}, 0)
+	col.Failed, col.Err = true, err
+	return col
 }
 
 // Figure3Specs is the §4.1 processor/model matrix in serializable form:
@@ -171,8 +196,8 @@ func SCPrefetchSpecs() []CellSpec {
 }
 
 // SweepSpecs maps a distributable experiment step name to its cell specs.
-// The step names match the hidelat experiments; ok is false for steps whose
-// cells need closures (ablations) or that are not cell sweeps at all.
+// The step names match the hidelat experiments; ok is false for steps that
+// are not one column sweep over every application.
 func SweepSpecs(step string) (specs []CellSpec, ok bool) {
 	switch step {
 	case "fig3":
@@ -192,45 +217,80 @@ func SweepSpecs(step string) (specs []CellSpec, ok bool) {
 }
 
 // RunSpec replays one cell spec over tr — the distributed worker's replay
-// entry point. Replay is a pure function of the trace and the spec (the
-// harness options contribute only cancellation and the time-skip toggle,
-// neither of which changes results), so the returned column is
-// byte-identical to running the same cell in-process on the coordinator.
+// entry point. Replay is a pure function of the trace and the spec, so the
+// returned column is byte-identical to running the same cell in-process on
+// the coordinator.
 func RunSpec(tr *trace.Trace, spec CellSpec, o *Options) (Column, error) {
-	c, err := spec.cell()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return Column{}, err
 	}
 	if o == nil {
 		o = new(Options)
 	}
-	return c.run(tr, o)
+	res, err := runArch(tr, spec.Arch, spec.config(o))
+	if err != nil {
+		return Column{}, err
+	}
+	return spec.column(res.Breakdown, res.Instructions), nil
 }
 
 // SpecColumn reconstructs a successful cell's column from the spec identity
-// plus the replayed numbers — what the coordinator does with a worker's
-// result, keeping the identity fields under its own control rather than
-// trusting the wire.
+// plus the replayed numbers — what a cache hit does with the stored result,
+// keeping the identity fields under the caller's control rather than
+// trusting the stored bytes.
 func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, error) {
 	if err := spec.Validate(); err != nil {
 		return Column{}, err
 	}
-	m, _ := consistency.ParseModel(spec.Model)
-	return Column{
-		Label: spec.Label, Model: m, Arch: spec.Arch, Window: spec.Window,
-		Breakdown: b, Instructions: instructions,
-	}, nil
-}
-
-// FailedSpecColumn is the placeholder a terminally failed distributed cell
-// leaves in its slot, mirroring the local scheduler's failed-cell marking.
-func FailedSpecColumn(spec CellSpec, ce *CellError) Column {
-	m, _ := consistency.ParseModel(spec.Model)
-	return failedColumn(cell{label: spec.Label, arch: spec.Arch, model: m, window: spec.Window}, ce)
+	return spec.column(b, instructions), nil
 }
 
 // NormalizeColumns fills the Normalized and ReadHidden fields of a finished
-// column set against cols[0] (the BASE reference) — exported for the
-// distributed coordinator, which merges worker results by index and then
-// normalizes exactly as the local scheduler does.
+// column set against cols[0] (the BASE reference), exactly as MergeSweep
+// does.
 func NormalizeColumns(cols []Column) { normalize(cols) }
+
+// MergeSweep assembles an apps × specs sweep from its outcomes by cell
+// index (a*len(specs)+c) — the one merge behind the in-process scheduler
+// and the distributed coordinator, so their output is byte-identical at
+// any worker count and topology. genErrs[a] non-nil marks every cell of
+// application a failed under one "(trace generation)" error; otherwise
+// outcome(i) supplies cell i's numbers or its terminal failure. Each
+// application's columns are normalized against its BASE column, and any
+// failures come back, ordered by index, in a *PartialError alongside the
+// partial results.
+func MergeSweep(apps []string, specs []CellSpec, genErrs []error, outcome func(i int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
+	nc := len(specs)
+	out := make([]AppColumns, len(apps))
+	var failed []*CellError
+	for a, app := range apps {
+		cols := make([]Column, nc)
+		var genCE *CellError
+		if genErrs[a] != nil {
+			genCE = &CellError{Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: genErrs[a]}
+			failed = append(failed, genCE)
+		}
+		for c, s := range specs {
+			if genCE != nil {
+				cols[c] = failedColumn(s, genCE)
+				continue
+			}
+			b, n, ce := outcome(a*nc + c)
+			if ce != nil {
+				failed = append(failed, ce)
+				cols[c] = failedColumn(s, ce)
+				continue
+			}
+			cols[c] = s.column(b, n)
+		}
+		normalize(cols)
+		out[a] = AppColumns{App: app, Cols: cols}
+	}
+	if failed != nil {
+		// The loop emits failures in index order already; the sort guards
+		// the report's stability at any worker count.
+		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
+		return out, &PartialError{Total: len(apps) * nc, Cells: failed}
+	}
+	return out, nil
+}

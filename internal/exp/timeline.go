@@ -12,11 +12,9 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"dynsched/internal/cpu"
 	"dynsched/internal/critpath"
 	"dynsched/internal/obs"
 )
@@ -99,123 +97,41 @@ func timelineCauseNames() []string {
 	return names
 }
 
-// TimelineAll generates every application's trace concurrently, then fans
-// the apps × cells matrix out as one flat job list, each cell with its own
-// sampler and collector. Failure containment mirrors AnalyzeAll: a failed
-// generation marks the application's cells, a failed cell is marked without
-// disturbing its neighbours, and partial results return a *PartialError.
+// TimelineAll runs the apps × cells attribution matrix through the sweep
+// scheduler with an interval sampler and a critical-path collector attached
+// to every cell. Failure containment is the scheduler's, as for AnalyzeAll.
 func (e *Experiment) TimelineAll() (*TimelineReport, error) {
-	appNames := e.Apps()
-	o := &e.opts
-	cells := analyzeCells()
-	nc := len(cells)
-
-	runs := make([]*AppRun, len(appNames))
-	genErrs := runJobsAll(o.Ctx, len(appNames), o.Workers, func(i int) error {
-		r, err := e.Run(appNames[i])
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
+	apps, specs := e.Apps(), analyzeSpecs()
+	tls := make([]*obs.Timeline, len(apps)*len(specs))
+	acs, err := e.perAppCells(apps, specs, "timeline", func(i int) (*critpath.Collector, *obs.Timeline) {
+		tl := obs.NewTimeline(timelineShift, timelineMaxPoints)
+		tl.CauseNames = timelineCauseNames()
+		e.opts.Timelines.Register(apps[i/len(specs)]+" "+specs[i%len(specs)].Label, tl)
+		tls[i] = tl
+		return critpath.NewCollector(), tl
 	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: timeline canceled: %w", err)
+	if acs == nil {
+		return nil, err
 	}
-
-	rep := &TimelineReport{Schema: TimelineSchema, Apps: make([]TimelineApp, len(appNames))}
-	for a, app := range appNames {
-		rep.Apps[a].App = app
-		rep.Apps[a].Cells = make([]TimelineCell, nc)
-		for c := range cells {
-			rep.Apps[a].Cells[c] = TimelineCell{Label: cells[c].label, Arch: cells[c].arch, Window: cells[c].window}
-		}
-	}
-
-	var failed []*CellError
-	markFailed := func(a, c int, ce *CellError) {
-		slot := &rep.Apps[a].Cells[c]
-		slot.Failed = true
-		slot.Err = ce
-		slot.Error = ce.Error()
-	}
-	for a, gerr := range genErrs {
-		if gerr == nil {
-			continue
-		}
-		ce := &CellError{Label: appNames[a] + " (trace generation)", Index: a * nc, Attempts: 1, Err: gerr}
-		failed = append(failed, ce)
-		for c := range cells {
-			markFailed(a, c, ce)
-		}
-	}
-
-	type cellJob struct{ a, c, job int }
-	var cjs []cellJob
-	for a := range appNames {
-		if genErrs[a] != nil {
-			continue
-		}
-		for c := range cells {
-			cjs = append(cjs, cellJob{a, c, o.Board.Enqueue(appNames[a] + " timeline " + cells[c].label)})
-		}
-	}
-	cellErrs := runJobsAll(o.Ctx, len(cjs), o.Workers, func(j int) error {
-		cj := cjs[j]
-		site := appNames[cj.a] + " timeline " + cells[cj.c].label
-		o.Board.Start(cj.job)
-		cerr := o.attempt(site, cj.a*nc+cj.c, func() error {
-			if err := o.Faults.Fire("cell." + site); err != nil {
-				return err
+	rep := &TimelineReport{Schema: TimelineSchema, Apps: make([]TimelineApp, len(acs))}
+	for a, ac := range acs {
+		rep.Apps[a] = TimelineApp{App: ac.App, Cells: make([]TimelineCell, len(ac.Cols))}
+		for c, col := range ac.Cols {
+			cell := &rep.Apps[a].Cells[c]
+			*cell = TimelineCell{Label: col.Label, Arch: col.Arch, Window: col.Window}
+			if col.Failed {
+				cell.Failed, cell.Err, cell.Error = true, col.Err, col.Err.Error()
+				continue
 			}
-			// A fresh sampler and collector per attempt: a retried cell
-			// must not accumulate the failed attempt's partial series.
-			cl := cells[cj.c]
-			tl := obs.NewTimeline(timelineShift, timelineMaxPoints)
-			tl.CauseNames = timelineCauseNames()
-			o.Timelines.Register(appNames[cj.a]+" "+cl.label, tl)
-			cp := critpath.NewCollector()
-			cfg := cpu.Config{Model: cl.model, Window: cl.window, Ctx: o.Ctx,
-				NoTimeSkip: o.NoTimeSkip, CritPath: cp, Timeline: tl}
-			if cl.mutate != nil {
-				cl.mutate(&cfg)
-			}
-			res, err := runArch(runs[cj.a].Trace, cl.arch, cfg)
-			if err != nil {
-				return err
-			}
-			slot := &rep.Apps[cj.a].Cells[cj.c]
-			slot.Interval = tl.Interval()
-			slot.TotalCycles = res.Breakdown.Total()
-			slot.Instructions = res.Instructions
-			slot.Samples = tl.Samples()
-			slot.Phases = DetectPhases(slot.Samples)
-			return nil
-		})
-		if cerr != nil {
-			o.Board.Finish(cj.job, cerr)
-			return cerr
+			tl := tls[a*len(specs)+c]
+			cell.Interval = tl.Interval()
+			cell.TotalCycles = col.Breakdown.Total()
+			cell.Instructions = col.Instructions
+			cell.Samples = tl.Samples()
+			cell.Phases = DetectPhases(cell.Samples)
 		}
-		o.Board.Finish(cj.job, nil)
-		return nil
-	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: timeline canceled: %w", err)
 	}
-	for j, err := range cellErrs {
-		if err == nil {
-			continue
-		}
-		ce := err.(*CellError)
-		markFailed(cjs[j].a, cjs[j].c, ce)
-		failed = append(failed, ce)
-	}
-
-	if failed != nil {
-		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
-		return rep, &PartialError{Total: len(appNames) * nc, Cells: failed}
-	}
-	return rep, nil
+	return rep, err
 }
 
 // stallMix is an interval's normalized cycle distribution over the six
