@@ -89,8 +89,11 @@
 // checksummed content-addressed cache, and the merged output — tables,
 // CSV, metrics, and the ledger's determinism checksum — is byte-identical
 // to a single-process run at any worker count and under any failure
-// schedule. -lease bounds how long a silent worker holds a cell and
-// -queue-max bounds the admission queue (excess requests get 429).
+// schedule. The sweep runs through the same loop as a local one, so
+// -retries, -cache and -cache-verify apply unchanged (a lost lease is one
+// failed attempt); -j bounds trace generation only. -lease bounds how long
+// a silent worker holds a cell and -queue-max bounds the admission queue
+// (excess requests get 429).
 //
 // Incremental sweeps: -cache DIR (default $HIDELAT_CACHE) memoizes
 // generated traces and per-cell replay results in a persistent
@@ -412,7 +415,7 @@ func run(args []string) error {
 	stepErr := func() error {
 		if *coordAddr != "" {
 			stepName = what
-			return distCoordinate(ctx, e, what, *coordAddr, *leaseDur, *queueMax, opts)
+			return distCoordinate(e, what, *coordAddr, *leaseDur, *queueMax)
 		}
 		if what != "all" {
 			stepName = what
@@ -706,20 +709,11 @@ var columnTitles = map[string]string{
 }
 
 // distCoordinate runs one column experiment as the coordinator of a
-// distributed sweep: start the HTTP surface, generate traces locally, feed
-// cells to remote workers, and print the merged columns through the same
-// epilogue a local run uses.
-func distCoordinate(ctx context.Context, e *exp.Experiment, step, addr string, lease time.Duration, queueMax int, opts exp.Options) error {
-	specs, _ := exp.SweepSpecs(step)
-	co := dist.New(dist.Config{
-		Lease:           lease,
-		Retries:         opts.Retries,
-		RetryBackoff:    opts.RetryBackoff,
-		RetryMaxBackoff: opts.RetryMaxBackoff,
-		QueueMax:        queueMax,
-		Board:           opts.Board,
-		Cache:           opts.Cache,
-	})
+// distributed sweep: start the HTTP surface, run the sweep with every cell
+// attempt leased to remote workers, and print the merged columns through
+// the same epilogue a local run uses.
+func distCoordinate(e *exp.Experiment, step, addr string, lease time.Duration, queueMax int) error {
+	co := dist.New(dist.Config{Lease: lease, QueueMax: queueMax})
 	srv, err := dist.StartServer(addr, co)
 	if err != nil {
 		return err
@@ -731,7 +725,8 @@ func distCoordinate(ctx context.Context, e *exp.Experiment, step, addr string, l
 	}()
 	fmt.Fprintf(os.Stderr, "hidelat: coordinating %s on http://%s/ (join with: hidelat worker -join http://%s)\n",
 		step, srv.Addr, srv.Addr)
-	acs, err := dist.RunSweep(ctx, e, specs, co)
+	specs, _ := exp.SweepSpecs(step)
+	acs, err := e.Sweep(specs, co.Replay)
 	if acs != nil {
 		printColumns(columnTitles[step], acs)
 	}

@@ -64,12 +64,7 @@ func TestChaosDistributedFigure3Determinism(t *testing.T) {
 	// The first trace transfer is corrupted in flight; checksum verification
 	// must turn it into a retried fetch.
 	coFaults.Arm("dist.trace.serve", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
-	co := New(Config{
-		Lease:        400 * time.Millisecond,
-		Retries:      3,
-		RetryBackoff: time.Millisecond,
-		Faults:       coFaults,
-	})
+	co := New(Config{Lease: 400 * time.Millisecond, Faults: coFaults})
 	srv, err := StartServer("127.0.0.1:0", co)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +124,9 @@ func TestChaosDistributedFigure3Determinism(t *testing.T) {
 		}
 	}()
 
-	got, err := RunSweep(ctx, exp.New(smallOpts(appNames...)), specs, co)
+	opts := smallOpts(appNames...)
+	opts.Retries, opts.RetryBackoff, opts.Ctx = 3, time.Millisecond, ctx
+	got, err := exp.New(opts).Sweep(specs, co.Replay)
 	cancel() // release any worker still polling
 	wg.Wait()
 	if err != nil {
@@ -169,7 +166,7 @@ func TestChaosPermanentCellFailureDegrades(t *testing.T) {
 		t.Skip("chaos sweep is seconds long")
 	}
 	specs, _ := exp.SweepSpecs("fig3")
-	co := New(Config{Lease: time.Second, Retries: 0, RetryBackoff: time.Millisecond})
+	co := New(Config{Lease: time.Second})
 	srv, err := StartServer("127.0.0.1:0", co)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +191,9 @@ func TestChaosPermanentCellFailureDegrades(t *testing.T) {
 		w.Run(ctx)
 	}()
 
-	acs, err := RunSweep(ctx, exp.New(smallOpts("mp3d")), specs, co)
+	opts := smallOpts("mp3d")
+	opts.Ctx = ctx
+	acs, err := exp.New(opts).Sweep(specs, co.Replay)
 	cancel()
 	wg.Wait()
 	var pe *exp.PartialError
@@ -256,7 +255,7 @@ func TestDistributedSweepFillsAndServesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := New(Config{Lease: 400 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond, Cache: store1})
+	co := New(Config{Lease: 400 * time.Millisecond})
 	srv, err := StartServer("127.0.0.1:0", co)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +275,9 @@ func TestDistributedSweepFillsAndServesCache(t *testing.T) {
 			t.Errorf("worker: %v", err)
 		}
 	}()
-	got1, err := RunSweep(ctx, exp.New(smallOpts(appNames...)), specs, co)
+	opts := smallOpts(appNames...)
+	opts.Retries, opts.RetryBackoff, opts.Ctx, opts.Cache = 1, time.Millisecond, ctx, store1
+	got1, err := exp.New(opts).Sweep(specs, co.Replay)
 	cancel()
 	wg.Wait()
 	if err != nil {
@@ -285,27 +286,30 @@ func TestDistributedSweepFillsAndServesCache(t *testing.T) {
 	if !reflect.DeepEqual(got1, want) {
 		t.Fatal("cold distributed columns differ from reference")
 	}
-	if st := store1.Stats(); st.Entries != len(specs) {
-		t.Fatalf("store holds %d entries after the cold sweep, want %d admitted cells", st.Entries, len(specs))
+	// One entry per admitted cell, plus the application's trace.
+	if st := store1.Stats(); st.Entries != len(specs)+1 {
+		t.Fatalf("store holds %d entries after the cold sweep, want %d admitted cells and 1 trace", st.Entries, len(specs))
 	}
 
-	// Warm: the coordinator satisfies every cell from the store before any
-	// worker could claim it — no worker runs at all.
+	// Warm: the sweep serves every cell from the store before leasing it —
+	// no worker runs at all.
 	store2, err := cache.Open(dir, cache.Options{Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2 := New(Config{Lease: 400 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond, Cache: store2})
+	co2 := New(Config{Lease: 400 * time.Millisecond})
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
-	got2, err := RunSweep(ctx2, exp.New(smallOpts(appNames...)), specs, co2)
+	opts2 := smallOpts(appNames...)
+	opts2.Retries, opts2.RetryBackoff, opts2.Ctx, opts2.Cache = 1, time.Millisecond, ctx2, store2
+	got2, err := exp.New(opts2).Sweep(specs, co2.Replay)
 	if err != nil {
 		t.Fatalf("warm distributed sweep: %v", err)
 	}
 	if !reflect.DeepEqual(got2, want) {
 		t.Fatal("warm distributed columns differ from reference")
 	}
-	if got := store2.Hits(); got != uint64(len(specs)) {
-		t.Fatalf("warm sweep hit %d cells, want all %d", got, len(specs))
+	if got := store2.Hits(); got != uint64(len(specs)+1) {
+		t.Fatalf("warm sweep hit %d entries, want the trace and all %d cells", got, len(specs))
 	}
 }

@@ -1,12 +1,12 @@
 package dist
 
-// The coordinator: generates traces locally (the same single-flight
-// Experiment cache a local sweep uses), publishes them to the
-// content-addressed trace cache, feeds cells through the lease queue, and
-// merges worker results by cell index into the same []AppColumns a local
-// run produces. Everything HTTP-facing sits behind the admission gate
-// except results — rejecting completed work only to recompute it would be
-// self-inflicted load.
+// The coordinator: the exp.Replay hook of a distributed sweep plus the HTTP
+// surface workers talk to. exp's sweep loop generates the traces, consults
+// the result cache, keeps the job board and retries failed attempts; the
+// hook publishes each application's trace to the content-addressed trace
+// cache and leases one attempt at a time to the worker fleet. Everything
+// HTTP-facing sits behind the admission gate except results — rejecting
+// completed work only to recompute it would be self-inflicted load.
 
 import (
 	"bytes"
@@ -20,11 +20,9 @@ import (
 	"sync"
 	"time"
 
-	"dynsched/internal/cache"
 	"dynsched/internal/cpu"
 	"dynsched/internal/exp"
 	"dynsched/internal/faultinject"
-	"dynsched/internal/obs"
 )
 
 // Defaults for Config's zero values.
@@ -34,89 +32,96 @@ const (
 	DefaultMaxActive = 64
 )
 
-// Config parameterizes a Coordinator.
+// Config parameterizes a Coordinator. The retry budget, the result cache
+// and the job board are the sweep's (exp.Options), not the coordinator's.
 type Config struct {
 	// Lease is how long a claimed cell stays assigned without a heartbeat
-	// before it is reclaimed. Zero means DefaultLease.
+	// before the attempt fails as lease-lost. Zero means DefaultLease.
 	Lease time.Duration
-	// Retries is the per-cell retry budget (attempts = Retries+1), matching
-	// exp.Options.Retries semantics.
-	Retries int
-	// RetryBackoff / RetryMaxBackoff shape the requeue delay after a failed
-	// attempt; zero values take exp's defaults.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 	// QueueMax bounds the admission queue; past it requests get 429. Zero
 	// means DefaultQueueMax.
 	QueueMax int
 	// MaxActive bounds concurrently served requests. Zero means
 	// DefaultMaxActive.
 	MaxActive int
-	// Board, when set, mirrors every cell onto the observability job board.
-	Board *obs.JobBoard
-	// Cache, when set, is the persistent result cache: cells whose result
-	// is already cached are served without ever entering a worker's claim,
-	// and worker-computed results are admitted into the cache — but only
-	// after the resultCheck checksum (the 409-recompute path) accepted
-	// them, so a corrupted report can no more poison the cache than the
-	// merge.
-	Cache *cache.Store
 	// Faults is the test-only injector; the coordinator carries the
 	// "dist.trace.serve" site (corrupt a trace transfer).
 	Faults *faultinject.Injector
-	// Now overrides the clock for tests.
-	Now func() time.Time
 }
 
-// Coordinator owns one distributed sweep: the trace cache, the lease
-// queue, and the HTTP surface workers talk to.
+// Coordinator owns the trace cache, the lease queue, and the HTTP surface
+// of one distributed sweep.
 type Coordinator struct {
 	cfg  Config
 	q    *queue
 	gate *gate
 
-	mu     sync.Mutex
-	traces map[string][]byte // content address → serialized v3 trace
+	mu        sync.Mutex
+	traces    map[string][]byte // content address → serialized v3 trace
+	published map[*exp.AppRun]*publication
+}
+
+// publication is one application's trace on the trace cache, serialized
+// by the first of its cells to need it.
+type publication struct {
+	once sync.Once
+	addr string
+	err  error
 }
 
 // New creates a coordinator with cfg's zero values defaulted.
 func New(cfg Config) *Coordinator {
-	if cfg.Lease <= 0 {
-		cfg.Lease = DefaultLease
-	}
 	if cfg.QueueMax <= 0 {
 		cfg.QueueMax = DefaultQueueMax
 	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = DefaultMaxActive
 	}
-	if cfg.Board == nil {
-		cfg.Board = obs.NewJobBoard()
+	return &Coordinator{
+		cfg:       cfg,
+		q:         newQueue(cfg.Lease, time.Now),
+		gate:      newGate(cfg.MaxActive, cfg.QueueMax),
+		traces:    make(map[string][]byte),
+		published: make(map[*exp.AppRun]*publication),
 	}
-	co := &Coordinator{
-		cfg:    cfg,
-		q:      newQueue(cfg.Lease, cfg.Retries, cfg.RetryBackoff, cfg.RetryMaxBackoff, cfg.Board, cfg.Now),
-		gate:   newGate(cfg.MaxActive, cfg.QueueMax),
-		traces: make(map[string][]byte),
-	}
-	if cfg.Cache != nil {
-		// Checksum-verified worker results feed the persistent cache, so the
-		// next sweep over the same traces starts warm.
-		co.q.onDone = func(traceFNV string, spec exp.CellSpec, b cpu.Breakdown, instructions uint64) {
-			exp.CellCachePut(cfg.Cache, traceFNV, spec, b, instructions)
-		}
-	}
-	return co
 }
 
-// AddTrace publishes a serialized trace to the content-addressed cache and
-// returns its address.
-func (co *Coordinator) AddTrace(data []byte) string {
-	addr := traceAddr(data)
+// Replay is the exp.Replay hook of a distributed sweep (pass it to
+// exp.Experiment.Sweep): it publishes run's trace once per application,
+// leases one attempt at the cell to a worker, and returns the attempt's
+// outcome — the checksum-verified result, the worker's error (permanent
+// when the worker reports it so), or a lease-lost error.
+func (co *Coordinator) Replay(ctx context.Context, run *exp.AppRun, spec exp.CellSpec, site string, index int) (cpu.Breakdown, uint64, error) {
+	addr, err := co.publish(run)
+	if err != nil {
+		return cpu.Breakdown{}, 0, err
+	}
+	j := co.q.add(jobAssignment{ID: index, App: run.App, Label: site, Spec: spec, TraceFNV: addr})
+	return co.q.await(ctx, j)
+}
+
+// publish serializes run's trace into the trace cache on first use and
+// returns its content address.
+func (co *Coordinator) publish(run *exp.AppRun) (string, error) {
 	co.mu.Lock()
-	co.traces[addr] = data
+	p := co.published[run]
+	if p == nil {
+		p = new(publication)
+		co.published[run] = p
+	}
 	co.mu.Unlock()
-	return addr
+	p.once.Do(func() {
+		var buf bytes.Buffer
+		if _, err := run.TraceView().WriteTo(&buf); err != nil {
+			p.err = permanentError{fmt.Errorf("dist: serialize %s trace: %w", run.App, err)}
+			return
+		}
+		p.addr = traceAddr(buf.Bytes())
+		co.mu.Lock()
+		co.traces[p.addr] = buf.Bytes()
+		co.mu.Unlock()
+	})
+	return p.addr, p.err
 }
 
 // Handler returns the coordinator's HTTP surface.
@@ -164,11 +169,7 @@ func (co *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	job, resp := co.q.claim(req.Worker)
-	if job != nil {
-		resp = &claimResponse{Job: job}
-	}
-	writeJSON(w, resp)
+	writeJSON(w, co.q.claim(r.Context(), req.Worker))
 }
 
 func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -222,11 +223,11 @@ func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleState(w http.ResponseWriter, r *http.Request) {
-	queued, leased, done, failed, expected := co.q.counts()
+	queued, leased, done, failed := co.q.counts()
 	active, waiting := co.gate.status()
 	writeJSON(w, map[string]int{
 		"queued": queued, "leased": leased, "done": done, "failed": failed,
-		"expected": expected, "admitted": active, "admission_queued": waiting,
+		"admitted": active, "admission_queued": waiting,
 	})
 }
 
@@ -251,6 +252,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 type Server struct {
 	Addr string
 	srv  *http.Server
+	q    *queue
 }
 
 // StartServer serves co on addr (host:port, port 0 for ephemeral) in the
@@ -262,67 +264,22 @@ func StartServer(addr string, co *Coordinator) (*Server, error) {
 	}
 	srv := &http.Server{Handler: co.Handler()}
 	go srv.Serve(ln)
-	return &Server{Addr: ln.Addr().String(), srv: srv}, nil
+	return &Server{Addr: ln.Addr().String(), srv: srv, q: co.q}, nil
 }
 
-// Shutdown stops the server gracefully.
-func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
-
-// Close stops the server immediately.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// RunSweep drives one distributed sweep to completion: generate every
-// application's trace locally (bounded by the experiment's worker count),
-// publish each to the trace cache, enqueue its cells, wait for remote
-// workers to resolve them, and merge by cell index through exp.MergeSweep,
-// the in-process scheduler's own merge. The merged columns are therefore
-// byte-identical to a local run's at any worker count and under any
-// failure schedule; an application whose generation fails, and any cell
-// that exhausts its retry budget, degrade to FAILED columns plus a
-// *exp.PartialError.
-func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *Coordinator) ([]exp.AppColumns, error) {
-	apps := e.Apps()
-	nc := len(specs)
-	if nc == 0 {
-		return nil, errors.New("dist: no cells to sweep")
+// Shutdown ends the sweep and stops the server gracefully. Until ctx ends
+// it first keeps serving, so that every live worker's next claim answers
+// done and the worker exits cleanly instead of finding the port closed.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.q.finish()
+	for !s.q.drained() && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
 	}
-	if err := co.q.start(len(apps) * nc); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return s.srv.Shutdown(ctx)
+}
 
-	// Generate and enqueue through the experiment's own generation pool.
-	genErrs := make([]error, len(apps))
-	e.RunEach(func(a int, run *exp.AppRun, err error) {
-		var buf bytes.Buffer
-		if err == nil {
-			if _, err = run.TraceView().WriteTo(&buf); err != nil {
-				err = fmt.Errorf("serialize trace: %w", err)
-			}
-		}
-		if err != nil {
-			// The merge fails the whole app under one entry; its cells
-			// never enter the queue.
-			genErrs[a] = err
-			co.q.discount(nc)
-			return
-		}
-		addr := co.AddTrace(buf.Bytes())
-		co.q.addApp(a, apps[a], specs, addr)
-		// Serve cached cell results immediately: the cells resolve before
-		// any worker claims them, and the board reports them as cached.
-		// Misses stay queued for the workers.
-		for c, spec := range specs {
-			if b, instructions, ok := exp.CellCacheGet(co.cfg.Cache, addr, spec); ok {
-				co.q.satisfy(a*nc+c, b, instructions)
-			}
-		}
-	})
-
-	if err := co.q.wait(ctx); err != nil {
-		return nil, fmt.Errorf("dist: sweep canceled: %w", err)
-	}
-	return exp.MergeSweep(apps, specs, genErrs, co.q.outcome)
+// Close ends the sweep and stops the server immediately.
+func (s *Server) Close() error {
+	s.q.finish()
+	return s.srv.Close()
 }

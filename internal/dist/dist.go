@@ -6,14 +6,19 @@
 // workers crash, stall, and reconnect — which this package treats as the
 // contract, not a best effort:
 //
-//   - Work moves through a lease-based queue. A worker claims a cell
+//   - The sweep itself is exp's one sweep loop (exp.Experiment.Sweep) with
+//     the coordinator's Replay hook: generation, the result cache and its
+//     verification, the job board, fault sites and the retry budget are
+//     the same code a local run uses. The hook leases one attempt at a
+//     time to the worker fleet.
+//   - Attempts move through a lease-based queue. A worker claims a cell
 //     (POST /jobs/claim), holds it under a lease renewed by heartbeats
 //     (POST /jobs/heartbeat), and reports the replayed numbers back with the
-//     cell index (POST /jobs/result). A missed lease means the cell is
-//     reclaimed and reassigned; per-cell attempt counts reuse the exp
-//     retry/backoff semantics (capped doubling with deterministic jitter),
-//     and a cell that keeps failing degrades to the existing
-//     *exp.PartialError / FAILED-cell path instead of sinking the run.
+//     cell index (POST /jobs/result). A missed lease fails the attempt, and
+//     the sweep loop retries it under the cell's -retries budget like any
+//     other transient failure; a cell that keeps failing degrades to the
+//     existing *exp.PartialError / FAILED-cell path instead of sinking the
+//     run.
 //   - Traces travel through a content-addressed cache (GET /traces/{fnv}):
 //     the address is the FNV-64a of the serialized v3 trace, the v3 format
 //     carries per-chunk CRCs plus a whole-file checksum, and the worker
@@ -56,8 +61,9 @@ type claimRequest struct {
 	Worker string `json:"worker"`
 }
 
-// claimResponse is the coordinator's answer: a job, "come back later", or
-// "the sweep is complete".
+// claimResponse is the coordinator's answer: a job, "come back later" (after
+// RetryAfterMillis, or at once when it is zero), or "the sweep is
+// complete".
 type claimResponse struct {
 	Done             bool           `json:"done,omitempty"`
 	Wait             bool           `json:"wait,omitempty"`
@@ -73,7 +79,6 @@ type jobAssignment struct {
 	Label       string       `json:"label"` // sweep-unique, "mp3d RC-DS64"
 	Spec        exp.CellSpec `json:"spec"`
 	TraceFNV    string       `json:"trace_fnv"`
-	Attempt     int          `json:"attempt"`
 	LeaseMillis int64        `json:"lease_ms"`
 }
 

@@ -1,116 +1,167 @@
 package dist
 
 // Unit tests for the lease queue and the admission gate, on a fake clock:
-// lease expiry and reclamation, the retry budget degrading to CellError,
-// duplicate and corrupted results, and fair bounded admission.
+// lease expiry and reassignment, FIFO claims that wait for work and learn
+// of the sweep's end, checksum rejection, duplicate and late results, and
+// fair bounded admission. The retry budget, backoff and result cache are
+// the sweep loop's; sweep_test.go covers them under a coordinator.
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dynsched/internal/cpu"
 	"dynsched/internal/exp"
-	"dynsched/internal/obs"
 )
 
-// testQueue builds a queue on a fake clock holding the first n Figure 3
-// cells of one app.
-func testQueue(t *testing.T, n, retries int) (*queue, *time.Time) {
-	t.Helper()
+// testQueue builds a queue with a one-second lease on a fake clock whose
+// claims answer at once when nothing is queued.
+func testQueue() (*queue, *time.Time) {
 	now := time.Unix(1000, 0)
-	q := newQueue(time.Second, retries, time.Millisecond, 4*time.Millisecond,
-		obs.NewJobBoard(), func() time.Time { return now })
-	specs := exp.Figure3Specs()[:n]
-	if err := q.start(n); err != nil {
-		t.Fatal(err)
-	}
-	q.addApp(0, "mp3d", specs, "deadbeef")
+	q := newQueue(time.Second, func() time.Time { return now })
+	q.claimWait = 0
 	return q, &now
 }
 
+// addCell queues one attempt at cell id of an mp3d Figure 3 sweep.
+func addCell(q *queue, id int) *qjob {
+	spec := exp.Figure3Specs()[id]
+	return q.add(jobAssignment{ID: id, App: "mp3d", Label: "mp3d " + spec.Label, Spec: spec, TraceFNV: "deadbeef"})
+}
+
+// resolved reports whether attempt j has an outcome.
+func resolved(j *qjob) bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
 func TestQueueLeaseExpiryReassigns(t *testing.T) {
-	q, now := testQueue(t, 1, 2)
-	job, _ := q.claim("w1")
-	if job == nil || job.Attempt != 1 {
-		t.Fatalf("first claim: %+v", job)
+	q, now := testQueue()
+	j := addCell(q, 0)
+	resp := q.claim(context.Background(), "w1")
+	if resp.Job == nil || resp.Job.ID != 0 || resp.Job.LeaseMillis != 1000 {
+		t.Fatalf("first claim: %+v", resp)
 	}
 	// Another worker sees nothing while the lease is live.
-	if j, resp := q.claim("w2"); j != nil || !resp.Wait {
-		t.Fatalf("claim during live lease: job=%v resp=%+v", j, resp)
+	if resp := q.claim(context.Background(), "w2"); resp.Job != nil || !resp.Wait {
+		t.Fatalf("claim during live lease: %+v", resp)
 	}
 	// Heartbeats extend the lease past its original expiry.
 	*now = now.Add(800 * time.Millisecond)
-	q.heartbeat("w1", []int{job.ID})
+	q.heartbeat("w1", []int{0})
 	*now = now.Add(800 * time.Millisecond) // 1.6s after claim, 0.8s after renewal
-	if j, _ := q.claim("w2"); j != nil {
-		t.Fatal("heartbeat-renewed lease was stolen")
+	if q.expire(j); resolved(j) {
+		t.Fatal("heartbeat-renewed lease expired")
 	}
-	// Silence expires it; the backoff window must pass before reassignment.
+	// Silence fails the attempt as lease-lost.
 	*now = now.Add(2 * time.Second)
-	if j, resp := q.claim("w2"); j != nil || !resp.Wait {
-		t.Fatalf("reclaimed cell handed out inside its backoff window: %+v", j)
+	if q.expire(j); !resolved(j) || j.err == nil || !strings.Contains(j.err.Error(), `"w1" lost its lease`) {
+		t.Fatalf("silent lease: resolved=%v err=%v, want a lease-lost error", resolved(j), j.err)
 	}
-	*now = now.Add(10 * time.Millisecond)
-	job2, _ := q.claim("w2")
-	if job2 == nil || job2.Attempt != 2 {
-		t.Fatalf("post-expiry claim: %+v", job2)
+	// The sweep's retry queues the next attempt, and another worker gets it.
+	j2 := addCell(q, 0)
+	if resp := q.claim(context.Background(), "w2"); resp.Job == nil || resp.Job.ID != 0 {
+		t.Fatalf("post-expiry claim: %+v", resp)
 	}
 	// The original worker's late heartbeat is ignored: the lease moved on.
-	q.heartbeat("w1", []int{job2.ID})
 	*now = now.Add(900 * time.Millisecond)
-	if j, _ := q.claim("w3"); j != nil {
-		t.Fatal("stale heartbeat from the old worker must not shorten the new lease")
+	q.heartbeat("w1", []int{0})
+	*now = now.Add(100 * time.Millisecond)
+	if q.expire(j2); !resolved(j2) {
+		t.Fatal("stale heartbeat from the old worker extended the new lease")
 	}
 }
 
-func TestQueueRetryBudgetDegradesToCellError(t *testing.T) {
-	q, now := testQueue(t, 1, 1) // attempts budget: 2
-	for attempt := 1; attempt <= 2; attempt++ {
-		job, _ := q.claim("w1")
-		if job == nil {
-			t.Fatalf("attempt %d: no job (backoff not elapsed?)", attempt)
-		}
-		if found, ok := q.result(resultRequest{Worker: "w1", ID: job.ID, Error: "boom"}); !found || !ok {
-			t.Fatalf("attempt %d: result found=%v ok=%v", attempt, found, ok)
-		}
-		*now = now.Add(10 * time.Millisecond) // clear the requeue backoff
+func TestQueueClaimsFIFO(t *testing.T) {
+	q, _ := testQueue()
+	for id := 0; id < 3; id++ {
+		addCell(q, id)
 	}
-	_, resp := q.claim("w1")
-	if !resp.Done {
-		t.Fatalf("queue not done after budget exhausted: %+v", resp)
-	}
-	_, _, cerr := q.outcome(0)
-	if cerr == nil || cerr.Attempts != 2 || cerr.Index != 0 {
-		t.Fatalf("outcome cerr = %+v, want 2 attempts at index 0", cerr)
+	for want := 0; want < 3; want++ {
+		if resp := q.claim(context.Background(), "w1"); resp.Job == nil || resp.Job.ID != want {
+			t.Fatalf("claim %d = %+v, want cell %d", want, resp, want)
+		}
 	}
 }
 
-func TestQueuePermanentFailureSkipsRetries(t *testing.T) {
-	q, _ := testQueue(t, 1, 5)
-	job, _ := q.claim("w1")
-	q.result(resultRequest{Worker: "w1", ID: job.ID, Error: "bad spec", Permanent: true})
-	_, resp := q.claim("w1")
-	if !resp.Done {
-		t.Fatalf("permanent failure must not be retried: %+v", resp)
+// waitClaiming returns once worker's claim has checked the queue and is
+// waiting: a claim records the worker and takes the wake channel in one
+// critical section, so anything added after this returns wakes it.
+func waitClaiming(q *queue, worker string) {
+	for {
+		q.mu.Lock()
+		_, ok := q.active[worker]
+		q.mu.Unlock()
+		if ok {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, _, cerr := q.outcome(0); cerr == nil || cerr.Attempts != 1 {
-		t.Fatalf("outcome = %+v, want CellError after 1 attempt", cerr)
+}
+
+func TestQueueClaimWaitsForWorkAndSweepEnd(t *testing.T) {
+	q, _ := testQueue()
+	q.claimWait = time.Minute
+	claimed := make(chan *claimResponse)
+	go func() { claimed <- q.claim(context.Background(), "w1") }()
+	// An attempt added while the claim waits is handed to it.
+	waitClaiming(q, "w1")
+	addCell(q, 2)
+	if resp := <-claimed; resp.Job == nil || resp.Job.ID != 2 {
+		t.Fatalf("waiting claim = %+v, want cell 2", resp)
+	}
+	// So is the end of the sweep, and every later claim answers done.
+	go func() { claimed <- q.claim(context.Background(), "w2") }()
+	waitClaiming(q, "w2")
+	q.finish()
+	if resp := <-claimed; !resp.Done {
+		t.Fatalf("waiting claim after finish = %+v, want done", resp)
+	}
+	if resp := q.claim(context.Background(), "w3"); !resp.Done {
+		t.Fatalf("claim after finish = %+v, want done", resp)
+	}
+}
+
+// Shutdown waits until every live worker has been told the sweep is done;
+// a worker silent for a whole lease is not waited for.
+func TestQueueDrainedOnceLiveWorkersAreToldDone(t *testing.T) {
+	q, now := testQueue()
+	q.claim(context.Background(), "w1")
+	q.heartbeat("crashed", nil)
+	q.finish()
+	if q.drained() {
+		t.Fatal("drained before any worker was told the sweep is done")
+	}
+	if resp := q.claim(context.Background(), "w1"); !resp.Done {
+		t.Fatalf("claim after finish = %+v, want done", resp)
+	}
+	if q.drained() {
+		t.Fatal("drained while a worker heard from within the lease was never told")
+	}
+	*now = now.Add(time.Second)
+	if !q.drained() {
+		t.Fatal("not drained once the silent worker's lease has passed")
 	}
 }
 
 func TestQueueResultChecksumAndDuplicates(t *testing.T) {
-	q, _ := testQueue(t, 1, 0)
-	job, _ := q.claim("w1")
+	q, _ := testQueue()
+	j := addCell(q, 0)
+	q.claim(context.Background(), "w1")
 	b := cpu.Breakdown{Busy: 100, Read: 50}
 	// A mangled payload is rejected, leaving the cell leased.
-	if _, ok := q.result(resultRequest{Worker: "w1", ID: job.ID, Breakdown: b, Instructions: 7, Check: "0000000000000000"}); ok {
+	if _, ok := q.result(resultRequest{Worker: "w1", ID: 0, Breakdown: b, Instructions: 7, Check: "0000000000000000"}); ok || resolved(j) {
 		t.Fatal("corrupted result accepted")
 	}
-	good := resultRequest{Worker: "w1", ID: job.ID, Breakdown: b, Instructions: 7,
-		Check: resultCheck(job.ID, b, 7)}
+	good := resultRequest{Worker: "w1", ID: 0, Breakdown: b, Instructions: 7, Check: resultCheck(0, b, 7)}
 	if _, ok := q.result(good); !ok {
 		t.Fatal("valid result rejected")
 	}
@@ -118,38 +169,53 @@ func TestQueueResultChecksumAndDuplicates(t *testing.T) {
 	// first answer stands even if the duplicate differs.
 	dup := good
 	dup.Instructions = 999
-	dup.Check = resultCheck(job.ID, b, 999)
+	dup.Check = resultCheck(0, b, 999)
 	if found, ok := q.result(dup); !found || !ok {
 		t.Fatal("duplicate result must be acknowledged")
 	}
-	gotB, instructions, cerr := q.outcome(0)
-	if cerr != nil || gotB != b || instructions != 7 {
-		t.Fatalf("outcome = %+v/%d/%v, want first result to stand", gotB, instructions, cerr)
+	if !resolved(j) || j.err != nil || j.breakdown != b || j.instructions != 7 {
+		t.Fatalf("outcome = %+v/%d/%v, want first result to stand", j.breakdown, j.instructions, j.err)
 	}
 	if found, _ := q.result(resultRequest{Worker: "w1", ID: 42}); found {
 		t.Fatal("unknown job id must report not-found")
 	}
 }
 
-func TestQueueFIFOAndBackoffOrdering(t *testing.T) {
-	q, now := testQueue(t, 3, 3)
-	// Claims hand out cells in enqueue order.
-	j0, _ := q.claim("w1")
-	j1, _ := q.claim("w1")
-	if j0.ID != 0 || j1.ID != 1 {
-		t.Fatalf("claims out of order: %d, %d", j0.ID, j1.ID)
+func TestQueueLateReports(t *testing.T) {
+	q, _ := testQueue()
+	j := addCell(q, 0)
+	q.claim(context.Background(), "w2")
+	// A failure from a worker that does not hold the lease (its own lease
+	// was lost earlier) is acknowledged but decides nothing.
+	if found, ok := q.result(resultRequest{Worker: "w1", ID: 0, Error: "late crash"}); !found || !ok || resolved(j) {
+		t.Fatalf("stale failure: found=%v ok=%v resolved=%v, want acknowledged and ignored", found, ok, resolved(j))
 	}
-	// A failed cell requeues behind its backoff; the untouched cell 2 is
-	// claimable immediately.
-	q.result(resultRequest{Worker: "w1", ID: j0.ID, Error: "transient"})
-	j2, _ := q.claim("w1")
-	if j2 == nil || j2.ID != 2 {
-		t.Fatalf("claim = %+v, want cell 2 while cell 0 backs off", j2)
+	// Its verified result is the cell's answer, whoever computed it.
+	b := cpu.Breakdown{Busy: 3}
+	q.result(resultRequest{Worker: "w1", ID: 0, Breakdown: b, Instructions: 1, Check: resultCheck(0, b, 1)})
+	if !resolved(j) || j.err != nil || j.breakdown != b {
+		t.Fatalf("late verified result: resolved=%v err=%v, want it to resolve the attempt", resolved(j), j.err)
 	}
-	*now = now.Add(10 * time.Millisecond)
-	jr, _ := q.claim("w1")
-	if jr == nil || jr.ID != 0 || jr.Attempt != 2 {
-		t.Fatalf("requeued claim = %+v, want cell 0 attempt 2", jr)
+	// A failure from the lease holder carries the worker's permanence.
+	j2 := addCell(q, 1)
+	q.claim(context.Background(), "w2")
+	q.result(resultRequest{Worker: "w2", ID: 1, Error: "bad spec", Permanent: true})
+	if !resolved(j2) || !exp.IsPermanent(j2.err) || j2.err.Error() != "bad spec" {
+		t.Fatalf("permanent failure = %v, want the worker's error marked permanent", j2.err)
+	}
+}
+
+func TestQueueAwaitWithdrawsOnCancel(t *testing.T) {
+	q, _ := testQueue()
+	j := addCell(q, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := q.await(ctx, j); !errors.Is(err, context.Canceled) {
+		t.Fatalf("await after cancel = %v, want context.Canceled", err)
+	}
+	// The withdrawn attempt is never handed to a worker.
+	if resp := q.claim(context.Background(), "w1"); resp.Job != nil {
+		t.Fatalf("withdrawn attempt claimed: %+v", resp.Job)
 	}
 }
 
@@ -254,58 +320,5 @@ func TestGateFairAcrossClients(t *testing.T) {
 	// Round-robin: a then b alternate while both have waiters.
 	if order[0] != "a" || order[1] != "b" {
 		t.Fatalf("grant order %v, want client b granted second (round-robin)", order)
-	}
-}
-
-func TestQueueSatisfyServesCachedCells(t *testing.T) {
-	q, _ := testQueue(t, 3, 2)
-	b := cpu.Breakdown{Busy: 10, Read: 20}
-	// Cell 1 is satisfied from the cache before any worker claims it.
-	q.satisfy(1, b, 42)
-	// Workers only ever see the remaining two cells.
-	seen := map[int]bool{}
-	for i := 0; i < 2; i++ {
-		job, _ := q.claim("w1")
-		if job == nil {
-			t.Fatalf("claim %d: no job", i)
-		}
-		if job.ID == 1 {
-			t.Fatal("cache-satisfied cell leased to a worker")
-		}
-		seen[job.ID] = true
-		res := resultRequest{Worker: "w1", ID: job.ID, Breakdown: b, Instructions: 7,
-			Check: resultCheck(job.ID, b, 7)}
-		if _, ok := q.result(res); !ok {
-			t.Fatalf("result for %d rejected", job.ID)
-		}
-	}
-	if _, resp := q.claim("w1"); !resp.Done {
-		t.Fatal("sweep not done after two replays + one cached cell")
-	}
-	gotB, instructions, cerr := q.outcome(1)
-	if cerr != nil || gotB != b || instructions != 42 {
-		t.Fatalf("cached outcome = %+v/%d/%v", gotB, instructions, cerr)
-	}
-	// satisfy on an already-resolved or leased cell is a no-op.
-	q.satisfy(1, cpu.Breakdown{Busy: 999}, 999)
-	if gotB, instructions, _ := q.outcome(1); gotB != b || instructions != 42 {
-		t.Fatal("satisfy overwrote a resolved cell")
-	}
-}
-
-func TestQueueSatisfyReportsCachedOnBoard(t *testing.T) {
-	now := time.Unix(1000, 0)
-	board := obs.NewJobBoard()
-	q := newQueue(time.Second, 1, time.Millisecond, 4*time.Millisecond,
-		board, func() time.Time { return now })
-	specs := exp.Figure3Specs()[:2]
-	if err := q.start(2); err != nil {
-		t.Fatal(err)
-	}
-	q.addApp(0, "mp3d", specs, "deadbeef")
-	q.satisfy(0, cpu.Breakdown{Busy: 1}, 1)
-	st := board.Status()
-	if st.Cached != 1 || st.Queued != 1 {
-		t.Fatalf("board cached/queued = %d/%d, want 1/1", st.Cached, st.Queued)
 	}
 }

@@ -121,11 +121,10 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 		case resp.Done:
 			return resolved, nil
 		case resp.Job == nil:
+			// A claim already waited for work on the coordinator; come
+			// back at once unless it asked for a pause.
 			wait := time.Duration(resp.RetryAfterMillis) * time.Millisecond
-			if wait <= 0 {
-				wait = 100 * time.Millisecond
-			}
-			if !sleepCtx(ctx, wait) {
+			if wait > 0 && !sleepCtx(ctx, wait) {
 				return resolved, ctx.Err()
 			}
 			continue
@@ -150,7 +149,7 @@ func (w *Worker) runJob(ctx context.Context, job *jobAssignment) (bool, error) {
 	tr, err := w.getTrace(ctx, job.TraceFNV)
 	if err != nil {
 		// Could not obtain a verified trace; report a transient failure so
-		// the coordinator requeues under the cell's retry budget.
+		// the sweep retries it under the cell's retry budget.
 		return false, w.report(ctx, resultRequest{
 			Worker: w.cfg.ID, ID: job.ID, Error: err.Error(),
 		})

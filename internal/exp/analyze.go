@@ -72,7 +72,7 @@ func (e *Experiment) AnalyzeAll() (*AnalyzeReport, error) {
 	acs, err := e.perAppCells(e.Apps(), specs, "analyze", func(i int) (*critpath.Collector, *obs.Timeline) {
 		cps[i] = critpath.NewCollector()
 		return cps[i], nil
-	})
+	}, nil)
 	if acs == nil {
 		return nil, err
 	}

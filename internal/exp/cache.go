@@ -16,9 +16,9 @@ package exp
 //     breakdown and instruction count, so that pair is the entire payload.
 //
 // The dynsched version namespace lives inside cache.Store (set at Open), so
-// the keys here never embed it; the same helpers serve the in-process
-// scheduler and the distributed coordinator, which is what keeps a
-// coordinator-served cached result byte-identical to a locally computed one.
+// the keys here never embed it. perAppCells consults the cache the same way
+// for local and distributed sweeps, which is what keeps a cached result
+// byte-identical to a computed one under either.
 
 import (
 	"encoding/json"
@@ -98,10 +98,9 @@ func traceAddrBytes(data []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// CellKey is the cache key of one replay-cell result: the trace content
-// address plus the serialized spec. Exported so the distributed coordinator
-// and the in-process scheduler address the identical entries.
-func CellKey(traceAddr string, spec CellSpec) string {
+// cellKey is the cache key of one replay-cell result: the trace content
+// address plus the serialized spec.
+func cellKey(traceAddr string, spec CellSpec) string {
 	js, _ := json.Marshal(spec) // CellSpec is a closed struct; cannot fail
 	return "trace=" + traceAddr + "|spec=" + string(js)
 }
@@ -119,7 +118,7 @@ func CellCacheGet(s *cache.Store, traceAddr string, spec CellSpec) (cpu.Breakdow
 	if s == nil || traceAddr == "" {
 		return cpu.Breakdown{}, 0, false
 	}
-	payload, ok := s.Get(cellKind, CellKey(traceAddr, spec))
+	payload, ok := s.Get(cellKind, cellKey(traceAddr, spec))
 	if !ok {
 		return cpu.Breakdown{}, 0, false
 	}
@@ -143,7 +142,7 @@ func CellCachePut(s *cache.Store, traceAddr string, spec CellSpec, b cpu.Breakdo
 	if err != nil {
 		return
 	}
-	s.Put(cellKind, CellKey(traceAddr, spec), payload) //nolint:errcheck
+	s.Put(cellKind, cellKey(traceAddr, spec), payload) //nolint:errcheck
 }
 
 // verifySelected deterministically picks the fraction of cache hits that
@@ -164,16 +163,17 @@ func verifySelected(fraction float64, key string) bool {
 
 // cacheHit looks a cell up in the result cache; hit=false means compute
 // normally. When the cell is selected for verification it is recomputed in
-// full and compared; a divergence is a terminal cell failure (the cache or
-// the simulator is lying, and silently preferring either answer would
-// poison the run).
-func (o *Options) cacheHit(tr *trace.Trace, spec CellSpec, addr, site string, index int) (r cellResult, hit bool, cerr *CellError) {
+// full through recompute — the cell's own replay path, in process or
+// remote — and compared; a divergence is a terminal cell failure (the
+// cache or the simulator is lying, and silently preferring either answer
+// would poison the run).
+func (o *Options) cacheHit(spec CellSpec, addr, site string, index int, recompute func() (cellResult, *CellError)) (r cellResult, hit bool, cerr *CellError) {
 	b, instructions, ok := CellCacheGet(o.Cache, addr, spec)
 	if !ok {
 		return cellResult{}, false, nil
 	}
-	if verifySelected(o.CacheVerify, CellKey(addr, spec)) {
-		fresh, cerr := runCell(tr, spec, o, site, index, nil)
+	if verifySelected(o.CacheVerify, cellKey(addr, spec)) {
+		fresh, cerr := recompute()
 		if cerr != nil {
 			return cellResult{}, true, cerr
 		}

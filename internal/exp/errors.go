@@ -100,8 +100,8 @@ func isPermanent(err error) bool {
 
 // IsPermanent is the exported form of isPermanent, for callers outside the
 // scheduler that must apply the same retry policy — the distributed worker
-// classifies a replay failure before reporting it, so the coordinator
-// requeues only what a local attempt() would have retried.
+// classifies a replay failure before reporting it, so a distributed sweep
+// retries only what a local attempt() would have retried.
 func IsPermanent(err error) bool { return isPermanent(err) }
 
 // DefaultRetryBackoff is the first-retry delay when Options.RetryBackoff is
@@ -113,7 +113,7 @@ const DefaultRetryBackoff = 50 * time.Millisecond
 // high retry budget cannot grow into minute-long sleeps.
 const DefaultRetryMaxBackoff = 2 * time.Second
 
-// RetryDelay returns the wait before retrying attempt a (1-based: the delay
+// retryDelay returns the wait before retrying attempt a (1-based: the delay
 // after the a-th failed attempt) of the cell labelled label: base doubling
 // per attempt, capped at max, with half the capped delay replaced by a
 // jitter hashed from (label, attempt). The jitter decorrelates cells that
@@ -122,7 +122,7 @@ const DefaultRetryMaxBackoff = 2 * time.Second
 // its arguments, so retry schedules are reproducible in tests and the delay
 // never exceeds max. base <= 0 selects DefaultRetryBackoff, max <= 0
 // DefaultRetryMaxBackoff.
-func RetryDelay(label string, a int, base, max time.Duration) time.Duration {
+func retryDelay(label string, a int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		base = DefaultRetryBackoff
 	}
@@ -153,7 +153,7 @@ func RetryDelay(label string, a int, base, max time.Duration) time.Duration {
 // attempt runs one cell's work with panic isolation and retry: a panic is
 // recovered into a *CellError with its stack, transient errors are retried
 // up to Options.Retries extra times with capped, jittered doubling backoff
-// (see RetryDelay), and permanent errors (watchdog kills, cancellation,
+// (see retryDelay), and permanent errors (watchdog kills, cancellation,
 // cached generation failures) stop immediately. It returns nil on success.
 func (o *Options) attempt(label string, index int, fn func() error) *CellError {
 	sleep := o.Sleep
@@ -171,7 +171,7 @@ func (o *Options) attempt(label string, index int, fn func() error) *CellError {
 			break
 		}
 		if a <= o.Retries {
-			sleep(RetryDelay(label, a, o.RetryBackoff, o.RetryMaxBackoff))
+			sleep(retryDelay(label, a, o.RetryBackoff, o.RetryMaxBackoff))
 		}
 	}
 	return last

@@ -49,6 +49,8 @@ type Options struct {
 	// figure, table, and sweep. 0 selects runtime.GOMAXPROCS(0); 1 forces
 	// fully serial execution. Results are always collected in deterministic
 	// input order, so every artifact is byte-identical at any worker count.
+	// A sweep whose cells replay through a Replay hook bounds only its
+	// generations here.
 	Workers int
 
 	// Metrics, when non-nil, collects the observability counters of every
@@ -84,7 +86,7 @@ type Options struct {
 	RetryBackoff time.Duration
 	// RetryMaxBackoff caps the doubling retry delay; 0 selects
 	// DefaultRetryMaxBackoff. The actual waits are jittered deterministically
-	// per cell (see RetryDelay) and never exceed the cap.
+	// per cell (see retryDelay) and never exceed the cap.
 	RetryMaxBackoff time.Duration
 	// Sleep replaces time.Sleep for the retry backoff waits, letting tests
 	// record and fast-forward the deterministic retry schedule. nil sleeps
@@ -231,19 +233,6 @@ func (e *Experiment) RunAll(names ...string) ([]*AppRun, error) {
 		return nil, err
 	}
 	return runs, nil
-}
-
-// RunEach generates every configured application's trace concurrently,
-// bounded by Options.Workers, and hands each outcome to fn with the
-// application's index. Unlike RunAll, a failed generation does not stop the
-// others.
-func (e *Experiment) RunEach(fn func(a int, run *AppRun, err error)) {
-	apps := e.Apps()
-	runJobs(len(apps), e.opts.Workers, func(a int) error {
-		run, err := e.Run(apps[a])
-		fn(a, run, err)
-		return nil
-	})
 }
 
 // generate performs one application's trace generation (the multiprocessor

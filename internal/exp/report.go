@@ -25,18 +25,18 @@ type AppColumns struct {
 // concurrently, then the full apps × configurations matrix fans out across
 // Options.Workers.
 func (e *Experiment) Figure3All() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), Figure3Specs(), "", nil)
+	return e.Sweep(Figure3Specs(), nil)
 }
 
 // Figure4All runs Figure 4 for every application.
 func (e *Experiment) Figure4All() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), Figure4Specs(), "", nil)
+	return e.Sweep(Figure4Specs(), nil)
 }
 
 // Issue4All runs the §4.2 multiple-issue experiment: the RC window sweep
 // with a decode/issue width of four.
 func (e *Experiment) Issue4All() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), Issue4Specs(), "", nil)
+	return e.Sweep(Issue4Specs(), nil)
 }
 
 // SCPrefetchAll evaluates the non-binding-prefetch technique of reference
@@ -45,7 +45,7 @@ func (e *Experiment) Issue4All() ([]AppColumns, error) {
 // miss. The SC+PF columns can be compared against plain SC and RC from
 // Figure 3.
 func (e *Experiment) SCPrefetchAll() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), SCPrefetchSpecs(), "", nil)
+	return e.Sweep(SCPrefetchSpecs(), nil)
 }
 
 // MissDistanceReport renders the §4.1.3 distance-between-read-misses
@@ -72,13 +72,13 @@ func (e *Experiment) MissDistanceReport() (string, error) {
 // WindowSweepAll runs the plain RC window sweep for every application; with
 // Options.MissPenalty set to 100 this is the §4.2 higher-latency experiment.
 func (e *Experiment) WindowSweepAll() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), WindowSweepSpecs(consistency.RC), "", nil)
+	return e.Sweep(WindowSweepSpecs(consistency.RC), nil)
 }
 
 // WOAll evaluates the weak ordering model (described in §2.1 but not
 // plotted in the paper) across the window sweep — an extension experiment.
 func (e *Experiment) WOAll() ([]AppColumns, error) {
-	return e.perAppCells(e.Apps(), WindowSweepSpecs(consistency.WO), "", nil)
+	return e.Sweep(WindowSweepSpecs(consistency.WO), nil)
 }
 
 // FormatAppColumns renders one figure for all applications.
@@ -150,7 +150,7 @@ func (e *Experiment) ablation(app string, specs []CellSpec) ([]Column, error) {
 		return nil, err
 	}
 	specs = append([]CellSpec{{Label: "BASE", Arch: "BASE", Model: "SC"}}, specs...)
-	acs, err := e.perAppCells([]string{app}, specs, "", nil)
+	acs, err := e.perAppCells([]string{app}, specs, "", nil, nil)
 	if acs == nil {
 		return nil, err
 	}

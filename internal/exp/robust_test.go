@@ -309,8 +309,8 @@ func TestRetryScheduleJitterAndCap(t *testing.T) {
 	}
 	for i, d := range sleeps {
 		a := i + 1
-		if want := RetryDelay(label, a, base, max); d != want {
-			t.Errorf("attempt %d slept %v, want RetryDelay = %v", a, d, want)
+		if want := retryDelay(label, a, base, max); d != want {
+			t.Errorf("attempt %d slept %v, want retryDelay = %v", a, d, want)
 		}
 		exp := base << i
 		if exp > max {

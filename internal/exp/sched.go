@@ -12,6 +12,7 @@ package exp
 // output: errors are selected by index, never by completion time.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,7 +21,6 @@ import (
 	"dynsched/internal/cpu"
 	"dynsched/internal/critpath"
 	"dynsched/internal/obs"
-	"dynsched/internal/trace"
 )
 
 // runJobs executes fn(0..n-1) on at most workers goroutines (0 or negative
@@ -94,44 +94,46 @@ func runJobs(n, workers int, fn func(int) error) error {
 // a failed attempt's partial record. Either may be nil.
 type observers func(i int) (*critpath.Collector, *obs.Timeline)
 
-// runCell replays spec over tr under the full containment stack — fault-
-// injection site, panic isolation, retry. site is the cell's sweep-unique
-// label ("mp3d RC-DS64"); observe (nil-safe) attaches observers per attempt.
-func runCell(tr *trace.Trace, spec CellSpec, o *Options, site string, index int, observe observers) (res cpu.Result, cerr *CellError) {
-	cerr = o.attempt(site, index, func() error {
-		if err := o.Faults.Fire("cell." + site); err != nil {
-			return err
-		}
-		cfg := spec.config(o)
-		if observe != nil {
-			cfg.CritPath, cfg.Timeline = observe(index)
-		}
-		var err error
-		res, err = runArch(tr, spec.Arch, cfg)
-		return err
-	})
-	return res, cerr
+// Replay is the per-attempt hook of a sweep whose cells replay outside this
+// process: the distributed coordinator leases each attempt to a remote
+// worker. It returns the replayed numbers or the attempt's error; an error
+// that declares itself permanent (see IsPermanent) ends the cell's retries.
+// run is the cell's application trace, site its sweep-unique label
+// ("mp3d RC-DS64") and index its merge key (a*len(specs)+c).
+type Replay func(ctx context.Context, run *AppRun, spec CellSpec, site string, index int) (cpu.Breakdown, uint64, error)
+
+// Sweep runs specs over every configured application through the one
+// apps × cells loop, perAppCells. A nil replay replays every cell in
+// process on the Options.Workers pool; a non-nil replay runs each cell
+// attempt through the hook instead, with everything around the replay —
+// generation, the result cache and its verification, the job board, fault
+// sites and the retry budget — unchanged.
+func (e *Experiment) Sweep(specs []CellSpec, replay Replay) ([]AppColumns, error) {
+	return e.perAppCells(e.Apps(), specs, "", nil, replay)
 }
 
 // perAppCells runs the apps × specs matrix — the scheduler's one entry
-// point for figures, sweeps, ablations and the analyze and timeline
-// reports. Trace generation and replay are pipelined through one worker
-// pool: every application's generation is enqueued up front, and the
-// moment a generation completes its replay cells become claimable, so
-// workers replay finished traces while other applications are still
-// generating. Outcomes land in by-index slots and MergeSweep assembles
-// them, so the output is byte-identical at any worker count. Failure is
-// contained at both stages: an application whose trace generation fails
-// has all its cells marked failed while the other applications' sweeps
-// complete, and a failed cell is marked without disturbing its neighbours.
-// The partial results come back alongside a *PartialError; only
-// cancellation aborts outright.
+// point for figures, sweeps, ablations, the analyze and timeline reports
+// and distributed sweeps. Trace generation and replay are pipelined
+// through one worker pool: every application's generation is enqueued up
+// front, and the moment a generation completes its replay cells become
+// claimable, so workers replay finished traces while other applications
+// are still generating. Outcomes land in by-index slots and mergeSweep
+// assembles them, so the output is byte-identical at any worker count.
+// Failure is contained at both stages: an application whose trace
+// generation fails has all its cells marked failed while the other
+// applications' sweeps complete, and a failed cell is marked without
+// disturbing its neighbours. The partial results come back alongside a
+// *PartialError; only cancellation aborts outright.
 //
 // kind names a report sweep ("analyze", "timeline"): its cells' fault and
 // board sites read "lu analyze RC-DS64" rather than "lu RC-DS64". observe
 // attaches the report's per-cell observers; because those need the replay
-// itself, such a sweep never consults the result cache.
-func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, observe observers) ([]AppColumns, error) {
+// itself, such a sweep never consults the result cache. With a non-nil
+// replay the pool bounds generation only: each cell runs on a goroutine of
+// its own, since a remote attempt mostly waits, and every generated cell
+// must be available to the remote fleet at once.
+func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, observe observers, replay Replay) ([]AppColumns, error) {
 	o := &e.opts
 	nc := len(specs)
 	sitePrefix := " "
@@ -147,10 +149,67 @@ func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, o
 		workers = max
 	}
 
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	runs := make([]*AppRun, len(apps))
 	genErrs := make([]error, len(apps))
 	results := make([]cellResult, len(apps)*nc)
 	cellErrs := make([]*CellError, len(apps)*nc)
+
+	// cell resolves cell i = a*nc+c into its slots. A cell already in the
+	// result cache skips its replay but lands in the same by-index slot, so
+	// the merged output is byte-identical to a cold run. The board reports
+	// it as cached rather than done, keeping ETA estimates honest.
+	cell := func(a, c int) {
+		i, spec := a*nc+c, specs[c]
+		site := apps[a] + sitePrefix + spec.Label
+		bj := o.Board.Enqueue(site)
+		// replayCell runs the cell under the full containment stack — fault
+		// site, panic isolation, retry — with each attempt in process, with
+		// fresh observers when the sweep has them, or through the hook.
+		replayCell := func() (r cellResult, cerr *CellError) {
+			cerr = o.attempt(site, i, func() (err error) {
+				if err := o.Faults.Fire("cell." + site); err != nil {
+					return err
+				}
+				if replay != nil {
+					r.Breakdown, r.Instructions, err = replay(ctx, runs[a], spec, site, i)
+					return err
+				}
+				cfg := spec.config(o)
+				if observe != nil {
+					cfg.CritPath, cfg.Timeline = observe(i)
+				}
+				res, err := runArch(runs[a].TraceView(), spec.Arch, cfg)
+				r = cellResult{res.Breakdown, res.Instructions}
+				return err
+			})
+			return r, cerr
+		}
+		if observe == nil {
+			if r, hit, cerr := o.cacheHit(spec, runs[a].addr, site, i, replayCell); hit {
+				results[i], cellErrs[i] = r, cerr
+				if cerr != nil {
+					o.Board.Finish(bj, cerr)
+				} else {
+					o.Board.FinishCached(bj)
+				}
+				return
+			}
+		}
+		o.Board.Start(bj)
+		results[i], cellErrs[i] = replayCell()
+		if cellErrs[i] != nil {
+			o.Board.Finish(bj, cellErrs[i])
+			return
+		}
+		if observe == nil {
+			CellCachePut(o.Cache, runs[a].addr, spec, results[i].Breakdown, results[i].Instructions)
+		}
+		o.Board.Finish(bj, nil)
+	}
 
 	// The job stream: c == -1 generates app a's trace; c >= 0 replays one
 	// cell over it. The channel is buffered for every job that can ever
@@ -179,59 +238,30 @@ func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, o
 			defer wg.Done()
 			for j := range jobs {
 				a, c := j.a, j.c
-				if err := ctxDone(o.Ctx); err != nil {
+				switch {
+				case ctxDone(o.Ctx) != nil:
 					if c < 0 {
-						genErrs[a] = err
+						genErrs[a] = ctxDone(o.Ctx)
 					}
-					done()
-					continue
-				}
-				if c < 0 {
+				case c < 0:
 					r, err := e.Run(apps[a])
 					if err != nil {
 						genErrs[a] = err
-						done()
-						continue
+						break
 					}
 					runs[a] = r
 					pending.Add(int64(nc))
 					for cc := 0; cc < nc; cc++ {
 						jobs <- job{a, cc}
 					}
-					done()
-					continue
-				}
-				i, spec := a*nc+c, specs[c]
-				site := apps[a] + sitePrefix + spec.Label
-				bj := o.Board.Enqueue(site)
-				tr := runs[a].TraceView()
-				// A cell already in the result cache skips its replay but
-				// lands in the same by-index slot, so the merged output is
-				// byte-identical to a cold run. The board reports it as
-				// cached rather than done, keeping ETA estimates honest.
-				if observe == nil {
-					if r, hit, cerr := o.cacheHit(tr, spec, runs[a].addr, site, i); hit {
-						results[i], cellErrs[i] = r, cerr
-						if cerr != nil {
-							o.Board.Finish(bj, cerr)
-						} else {
-							o.Board.FinishCached(bj)
-						}
+				case replay != nil:
+					go func() {
+						cell(a, c)
 						done()
-						continue
-					}
-				}
-				o.Board.Start(bj)
-				res, cerr := runCell(tr, spec, o, site, i, observe)
-				if cerr != nil {
-					cellErrs[i] = cerr
-					o.Board.Finish(bj, cerr)
-				} else {
-					results[i] = cellResult{res.Breakdown, res.Instructions}
-					if observe == nil {
-						CellCachePut(o.Cache, runs[a].addr, spec, res.Breakdown, res.Instructions)
-					}
-					o.Board.Finish(bj, nil)
+					}()
+					continue
+				default:
+					cell(a, c)
 				}
 				done()
 			}
@@ -244,7 +274,7 @@ func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, o
 		}
 		return nil, fmt.Errorf("exp: %s canceled: %w", kind, err)
 	}
-	return MergeSweep(apps, specs, genErrs, func(i int) (cpu.Breakdown, uint64, *CellError) {
+	return mergeSweep(apps, specs, genErrs, func(i int) (cpu.Breakdown, uint64, *CellError) {
 		return results[i].Breakdown, results[i].Instructions, cellErrs[i]
 	})
 }

@@ -246,20 +246,19 @@ func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, er
 }
 
 // NormalizeColumns fills the Normalized and ReadHidden fields of a finished
-// column set against cols[0] (the BASE reference), exactly as MergeSweep
+// column set against cols[0] (the BASE reference), exactly as mergeSweep
 // does.
 func NormalizeColumns(cols []Column) { normalize(cols) }
 
-// MergeSweep assembles an apps × specs sweep from its outcomes by cell
-// index (a*len(specs)+c) — the one merge behind the in-process scheduler
-// and the distributed coordinator, so their output is byte-identical at
-// any worker count and topology. genErrs[a] non-nil marks every cell of
-// application a failed under one "(trace generation)" error; otherwise
-// outcome(i) supplies cell i's numbers or its terminal failure. Each
-// application's columns are normalized against its BASE column, and any
-// failures come back, ordered by index, in a *PartialError alongside the
-// partial results.
-func MergeSweep(apps []string, specs []CellSpec, genErrs []error, outcome func(i int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
+// mergeSweep assembles an apps × specs sweep from its outcomes by cell
+// index (a*len(specs)+c) — perAppCells' merge, so local and distributed
+// sweeps are byte-identical at any worker count and topology. genErrs[a]
+// non-nil marks every cell of application a failed under one "(trace
+// generation)" error; otherwise outcome(i) supplies cell i's numbers or its
+// terminal failure. Each application's columns are normalized against its
+// BASE column, and any failures come back, ordered by index, in a
+// *PartialError alongside the partial results.
+func mergeSweep(apps []string, specs []CellSpec, genErrs []error, outcome func(i int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
 	nc := len(specs)
 	out := make([]AppColumns, len(apps))
 	var failed []*CellError

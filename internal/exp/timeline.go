@@ -109,7 +109,7 @@ func (e *Experiment) TimelineAll() (*TimelineReport, error) {
 		e.opts.Timelines.Register(apps[i/len(specs)]+" "+specs[i%len(specs)].Label, tl)
 		tls[i] = tl
 		return critpath.NewCollector(), tl
-	})
+	}, nil)
 	if acs == nil {
 		return nil, err
 	}

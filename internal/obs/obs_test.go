@@ -58,9 +58,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil pipe tracer recorded")
 	}
 	var pr *Progress
-	pr.SetLabel("x")
-	pr.Publish(1, 1)
-	pr.Add(1, 1)
 	pr.Start()
 	pr.Stop()
 }

@@ -355,6 +355,42 @@ func TestServeEventsSSE(t *testing.T) {
 	}
 }
 
+// flushHook is a ResponseWriter that runs onFlush at its first Flush — the
+// moment an /events client can have read the response headers.
+type flushHook struct {
+	*httptest.ResponseRecorder
+	onFlush func()
+}
+
+func (w *flushHook) Flush() {
+	w.ResponseRecorder.Flush()
+	if f := w.onFlush; f != nil {
+		w.onFlush = nil
+		f()
+	}
+}
+
+// TestServeEventsSubscribedBeforeHeaders publishes samples the moment the
+// /events headers are flushed, then closes the hub: the stream must carry
+// them, so the handler has to subscribe before it sends the headers.
+func TestServeEventsSubscribedBeforeHeaders(t *testing.T) {
+	hub := NewTimelineHub()
+	tl := NewTimeline(4, 64)
+	hub.Register("lu RC-DS64", tl)
+	w := &flushHook{ResponseRecorder: httptest.NewRecorder()}
+	w.onFlush = func() {
+		drive(tl, 40, func(c uint64) TimelinePoint { return tlPoint(c, c, c/4) })
+		hub.Close()
+	}
+	NewServeMux(ServerState{Timelines: hub, Version: "test"}).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/events", nil))
+	if ct := w.Header().Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	if n := strings.Count(w.Body.String(), "event: sample\n"); n != len(tl.Samples()) || n == 0 {
+		t.Fatalf("stream carries %d of the %d samples published right after the headers", n, len(tl.Samples()))
+	}
+}
+
 func TestServeReadOnlyMethods(t *testing.T) {
 	srv := httptest.NewServer(NewServeMux(ServerState{Version: "test"}))
 	defer srv.Close()
