@@ -111,6 +111,20 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// replaySpecs replays specs over one trace, cell by cell, and normalizes
+// the columns against BASE.
+func replaySpecs(b *testing.B, tr *trace.Trace, specs []exp.CellSpec) []exp.Column {
+	cols := make([]exp.Column, len(specs))
+	for i, spec := range specs {
+		var err error
+		if cols[i], err = exp.RunSpec(tr, spec, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	exp.NormalizeColumns(cols)
+	return cols
+}
+
 // BenchmarkFigure3 regenerates Figure 3 per application: the full
 // static/dynamic × SC/PC/RC matrix.
 func BenchmarkFigure3(b *testing.B) {
@@ -124,10 +138,7 @@ func BenchmarkFigure3(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				cols, err := exp.Figure3(run.Trace)
-				if err != nil {
-					b.Fatal(err)
-				}
+				cols := replaySpecs(b, run.Trace, exp.Figure3Specs())
 				last := cols[len(cols)-1] // RC-DS256
 				b.ReportMetric(last.Normalized, "norm%RC-DS256")
 			}
@@ -148,9 +159,7 @@ func BenchmarkFigure4(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := exp.Figure4(run.Trace); err != nil {
-					b.Fatal(err)
-				}
+				replaySpecs(b, run.Trace, exp.Figure4Specs())
 			}
 		})
 	}
@@ -196,8 +205,9 @@ func BenchmarkLatency100(b *testing.B) {
 	opts.Scale = apps.ScaleSmall
 	opts.MissPenalty = 100
 	e := exp.New(opts)
+	specs, _ := exp.SweepSpecs("latency100")
 	for i := 0; i < b.N; i++ {
-		acs, err := e.WindowSweepAll()
+		acs, err := e.Sweep(specs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,22 +329,22 @@ func BenchmarkProcessorModels(b *testing.B) {
 }
 
 // BenchmarkAblations measures the design-choice sweeps called out in
-// DESIGN.md: store-buffer depth, MSHR count, and the WO model.
+// DESIGN.md: the store-buffer depth, MSHR count and BTB size ablations on
+// MP3D, and the WO model.
 func BenchmarkAblations(b *testing.B) {
 	b.ReportAllocs()
 	e := benchHarness(b)
-	b.Run("store-buffer", func(b *testing.B) {
+	b.Run("ablate", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.AblationStoreBuffer("mp3d"); err != nil {
-				b.Fatal(err)
-			}
+		opts := e.Options()
+		opts.Apps = []string{"mp3d"}
+		mp3d := exp.New(opts)
+		if _, err := mp3d.RunAll(); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("mshr", func(b *testing.B) {
-		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.AblationMSHR("mp3d"); err != nil {
+			if _, err := mp3d.Sweep(exp.AblationSpecs(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -349,16 +359,17 @@ func BenchmarkAblations(b *testing.B) {
 	})
 }
 
-// BenchmarkMultipleContexts measures the §5 competitive-technique model.
+// BenchmarkMultipleContexts measures the §5 competitive-technique model:
+// one recording multiprocessor run serving both switch penalties.
 func BenchmarkMultipleContexts(b *testing.B) {
 	b.ReportAllocs()
 	e := benchHarness(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := e.MultipleContexts("lu", 4)
+		rows, err := exp.MultipleContexts("lu", e.Options())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*rows[len(rows)-1].Result.Utilization, "%util@8ctx")
+		b.ReportMetric(100*rows[len(rows)-1].Result.Utilization, "%util@8ctx,penalty16")
 	}
 }
 

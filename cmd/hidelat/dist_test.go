@@ -9,6 +9,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"dynsched/internal/exp"
 )
 
 func TestCLIDistFlagValidation(t *testing.T) {
@@ -52,14 +54,21 @@ func TestCLIWorkerFlagValidation(t *testing.T) {
 	}
 }
 
-// A distributed fig3 run through the CLI — coordinator process logic and a
-// worker joined over real HTTP — prints byte-identical stdout to the local
-// single-process run.
+// A distributed sweep run through the CLI — coordinator process logic and
+// a worker joined over real HTTP — prints byte-identical stdout to the
+// local single-process run, for a figure, the §7 summary folded from its
+// sweep, and the ablations.
 func TestCLIDistributedFig3MatchesLocal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("distributed sweep is seconds long")
+		t.Skip("distributed sweeps are seconds long")
 	}
-	local, err := captureRun(t, "-scale", "small", "-apps", "mp3d", "-j", "2", "fig3")
+	for _, step := range []string{"fig3", "summary", "ablate"} {
+		t.Run(step, func(t *testing.T) { distributedMatchesLocal(t, step) })
+	}
+}
+
+func distributedMatchesLocal(t *testing.T, step string) {
+	local, err := captureRun(t, "-scale", "small", "-apps", "mp3d", "-j", "2", step)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -78,7 +87,7 @@ func TestCLIDistributedFig3MatchesLocal(t *testing.T) {
 		workerDone <- run([]string{"worker", "-join", "http://" + addr, "-id", "cli-test"})
 	}()
 	distOut, err := captureRun(t, "-scale", "small", "-apps", "mp3d",
-		"-coordinator", addr, "-lease", "2s", "-queue-max", "64", "fig3")
+		"-coordinator", addr, "-lease", "2s", "-queue-max", "64", step)
 	if err != nil {
 		t.Fatalf("coordinator run: %v", err)
 	}
@@ -87,5 +96,28 @@ func TestCLIDistributedFig3MatchesLocal(t *testing.T) {
 	}
 	if distOut != local {
 		t.Errorf("distributed stdout differs from local run\nlocal:\n%s\ndistributed:\n%s", local, distOut)
+	}
+}
+
+// Every spec-sweep step names a row of exp's sweep table and every row has
+// a step, so the usage list, `all` and -coordinator cover the same sweeps.
+func TestStepTableMatchesSweepTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range steps {
+		if seen[s.name] {
+			t.Errorf("step %q listed twice", s.name)
+		}
+		seen[s.name] = true
+		if (s.run == nil) == (s.render == nil) {
+			t.Errorf("step %q: want exactly one of run and render", s.name)
+		}
+		if _, ok := exp.LookupSweep(s.name); ok != (s.render != nil) {
+			t.Errorf("step %q: in exp's sweep table = %v, has a renderer = %v", s.name, ok, s.render != nil)
+		}
+	}
+	for _, name := range []string{"fig3", "fig4", "summary", "latency100", "issue4", "wo", "scpf", "ablate"} {
+		if _, ok := exp.SweepSpecs(name); !ok || !seen[name] {
+			t.Errorf("sweep %q: in exp's sweep table = %v, a step = %v", name, ok, seen[name])
+		}
 	}
 }

@@ -77,10 +77,12 @@
 // generation cycles, per-cell replay cycles and MCPI, and a determinism
 // checksum of the metrics snapshot.
 //
-// Distributed sweeps: -coordinator ADDR runs a column experiment (fig3,
-// fig4, latency100, issue4, wo, scpf) as a fault-tolerant coordinator that
-// generates the traces locally and serves the replay cells to remote
-// workers over HTTP; workers join with
+// Distributed sweeps: -coordinator ADDR runs a spec sweep (fig3, fig4,
+// summary, latency100, issue4, wo, scpf, ablate) as a fault-tolerant
+// coordinator that generates the traces locally and serves the replay
+// cells to remote workers over HTTP. The other experiments run locally:
+// cachegeom, contexts, contention and machines vary trace generation
+// itself, which no cell spec can name. Workers join with
 //
 //	hidelat worker -join http://HOST:PORT [-id NAME]
 //
@@ -149,15 +151,12 @@ func main() {
 	}
 }
 
+// subcommands are the maintenance commands beside the experiments.
+var subcommands = map[string]func([]string) error{"diff": runDiff, "worker": runWorker, "cache": runCacheCmd}
+
 func run(args []string) error {
-	if len(args) > 0 && args[0] == "diff" {
-		return runDiff(args[1:])
-	}
-	if len(args) > 0 && args[0] == "worker" {
-		return runWorker(args[1:])
-	}
-	if len(args) > 0 && args[0] == "cache" {
-		return runCacheCmd(args[1:])
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		return subcommands[args[0]](args[1:])
 	}
 	start := time.Now()
 	fs := flag.NewFlagSet("hidelat", flag.ContinueOnError)
@@ -170,7 +169,7 @@ func run(args []string) error {
 	retries := fs.Int("retries", 0, "extra attempts a failed replay cell gets before it is marked failed")
 	noskip := fs.Bool("noskip", false, "disable event-driven time skipping in the processor replays (results are identical; for diagnosis and equivalence testing)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	csvOut := fs.Bool("csv", false, "emit figure data as CSV (fig3, fig4, latency100, issue4, wo, scpf)")
+	csvOut := fs.Bool("csv", false, "emit the column experiments' figure data as CSV")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot to this file")
 	analyzeJSON := fs.String("analyze-json", "", "write the analyze report as JSON to this file")
 	flameOut := fs.String("flame-out", "", "write the analyze attribution as a Chrome trace-event flamegraph to this file")
@@ -195,9 +194,15 @@ func run(args []string) error {
 		fmt.Fprintf(fs.Output(), "       hidelat diff [-threshold 0.05] [-json] OLD NEW\n")
 		fmt.Fprintf(fs.Output(), "       hidelat worker -join http://HOST:PORT [-id NAME]\n")
 		fmt.Fprintf(fs.Output(), "       hidelat cache [-dir DIR] stats|verify|gc [-max-bytes N]|clear\n\n")
-		fmt.Fprintf(fs.Output(), "Experiments: table1 table2 table3 fig3 fig4 summary delays latency100\n")
-		fmt.Fprintf(fs.Output(), "             issue4 wo scpf resched cachegeom contexts contention\n")
-		fmt.Fprintf(fs.Output(), "             machines distances ablate analyze timeline all\n\nFlags:\n")
+		line := "Experiments:"
+		for _, s := range append(steps, step{name: "all"}) {
+			if len(line)+1+len(s.name) > 76 {
+				fmt.Fprintln(fs.Output(), line)
+				line = "            "
+			}
+			line += " " + s.name
+		}
+		fmt.Fprintf(fs.Output(), "%s\n\nFlags:\n", line)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -245,15 +250,24 @@ func run(args []string) error {
 		return fmt.Errorf("-cache-verify requires an enabled -cache DIR")
 	}
 	// The distributed-mode knobs only mean something with -coordinator, and
-	// the coordinator only shards the column experiments SweepSpecs knows.
+	// the coordinator only shards the spec sweeps.
 	if *coordAddr == "" {
 		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if set["lease"] || set["queue-max"] {
 			return fmt.Errorf("-lease and -queue-max require -coordinator")
 		}
-	} else if _, ok := exp.SweepSpecs(what); !ok {
-		return fmt.Errorf("-coordinator supports the column experiments (fig3, fig4, latency100, issue4, wo, scpf), not %q", what)
+	} else if s, _ := lookupStep(what); s.render == nil {
+		var names []string
+		for _, s := range steps {
+			if s.render != nil {
+				names = append(names, s.name)
+			}
+		}
+		return fmt.Errorf("-coordinator supports the column experiments (%s), not %q", strings.Join(names, ", "), what)
+	}
+	if _, ok := lookupStep(what); !ok && what != "all" {
+		return fmt.Errorf("unknown experiment %q", what)
 	}
 
 	scale, err := apps.ParseScale(*scaleName)
@@ -292,12 +306,19 @@ func run(args []string) error {
 		}
 		defer stop()
 	}
+	st := &runState{
+		csv:          *csvOut,
+		analyzeJSON:  *analyzeJSON,
+		flameOut:     *flameOut,
+		timelineJSON: *timelineJSON,
+		timelineCSV:  *timelineCSV,
+	}
 	if *metricsOut != "" || *serveAddr != "" || *ledgerPath != "" {
-		metricsReg = obs.NewRegistry()
-		opts.Metrics = metricsReg
+		st.metrics = obs.NewRegistry()
+		opts.Metrics = st.metrics
 	}
 	if *cacheDir != "" && !*cacheOff {
-		store, err := cache.Open(*cacheDir, cache.Options{Version: dynsched.Version, Metrics: metricsReg})
+		store, err := cache.Open(*cacheDir, cache.Options{Version: dynsched.Version, Metrics: st.metrics})
 		if err != nil {
 			return err
 		}
@@ -332,23 +353,18 @@ func run(args []string) error {
 		opts.Board = obs.NewJobBoard()
 		opts.Timelines = obs.NewTimelineHub()
 		srv, err := obs.StartServer(*serveAddr, obs.ServerState{
-			Registry: metricsReg, Board: opts.Board, Progress: pr,
+			Registry: st.metrics, Board: opts.Board, Progress: pr,
 			Timelines: opts.Timelines, Version: dynsched.Version,
 		})
 		if err != nil {
 			return err
 		}
-		// Drain in-flight scrapes before exiting; fall back to a hard close
-		// after two seconds so shutdown can never hang the CLI.
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer scancel()
-			srv.Shutdown(sctx)
-		}()
+		defer shutdown(srv)
 		fmt.Fprintf(os.Stderr, "hidelat: live server on http://%s/ (metrics, jobs, progress, pprof)\n", srv.Addr)
 	}
-	e := exp.New(opts)
-	emitCSV = *csvOut
+	// A single sweep step that fixes its own miss penalty generates at it
+	// from the start, so the pipeline trace below replays the same traces.
+	e := harness(exp.New(opts), what)
 	// writeLedger appends the run record even when the run failed: an
 	// interrupted or partial sweep is marked as such rather than vanishing
 	// from the run history.
@@ -359,7 +375,7 @@ func run(args []string) error {
 		rec := obs.BuildLedgerRecord(dynsched.Version, cmd, args, map[string]any{
 			"scale": *scaleName, "latency": *latency, "cpus": *cpus,
 			"tracecpu": *traceCPU, "apps": *appList, "j": *workers,
-		}, start, metricsReg.Snapshot())
+		}, start, st.metrics.Snapshot())
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
 			rec.Interrupted = true
 		}
@@ -374,78 +390,41 @@ func run(args []string) error {
 		return nil
 	}
 
-	steps := map[string]func(*exp.Experiment) error{
-		"table1":     table1,
-		"table2":     table2,
-		"table3":     table3,
-		"fig3":       fig3,
-		"fig4":       fig4,
-		"summary":    summary,
-		"delays":     delays,
-		"latency100": latency100,
-		"issue4":     issue4,
-		"wo":         wo,
-		"ablate":     ablate,
-		"scpf":       scpf,
-		"distances":  distances,
-		"resched":    reschedCmd,
-		"cachegeom":  cachegeom,
-		"contexts":   contexts,
-		"contention": contention,
-		"machines":   machines,
-		"analyze":    analyzeCmd,
-		"timeline":   timelineCmd,
-	}
-	analyzeJSONOut, flameOutPath = *analyzeJSON, *flameOut
-	timelineJSONOut, timelineCSVOut = *timelineJSON, *timelineCSV
-	if what != "all" {
-		if _, ok := steps[what]; !ok {
-			return fmt.Errorf("unknown experiment %q", what)
-		}
-		if what == "latency100" && opts.MissPenalty != 100 {
-			opts.MissPenalty = 100
-			e = exp.New(opts)
-		}
-	}
-
 	// Run the experiment(s). A *PartialError degrades rather than aborts:
 	// the step has already printed its partial tables, `all` continues with
 	// the remaining experiments, and the combined failure is reported at
 	// exit. Anything else — including cancellation — stops the dispatch.
 	stepErr := func() error {
 		if *coordAddr != "" {
-			stepName = what
-			return distCoordinate(e, what, *coordAddr, *leaseDur, *queueMax)
+			// Coordinate a distributed sweep: serve the cells to remote
+			// workers and lease every cell attempt to them.
+			co := dist.New(dist.Config{Lease: *leaseDur, QueueMax: *queueMax})
+			srv, err := dist.StartServer(*coordAddr, co)
+			if err != nil {
+				return err
+			}
+			defer shutdown(srv)
+			fmt.Fprintf(os.Stderr, "hidelat: coordinating %s on http://%s/ (join with: hidelat worker -join http://%s)\n",
+				what, srv.Addr, srv.Addr)
+			st.replay = co.Replay
 		}
+		todo := steps
 		if what != "all" {
-			stepName = what
-			return steps[what](e)
+			s, _ := lookupStep(what)
+			todo = []step{s}
 		}
 		var partial error
-		for _, name := range []string{"table1", "table2", "table3", "fig3", "fig4",
-			"summary", "delays", "distances", "issue4", "wo", "scpf", "resched",
-			"cachegeom", "contexts", "contention", "machines", "ablate", "analyze",
-			"timeline"} {
-			stepName = name
-			if err := steps[name](e); err != nil {
+		for i, s := range todo {
+			if i > 0 {
+				fmt.Println()
+			}
+			if err := st.runStep(s, e); err != nil {
 				var pe *exp.PartialError
 				if !errors.As(err, &pe) {
 					return err
 				}
 				partial = err
 			}
-			fmt.Println()
-		}
-		// latency100 needs its own traces; run it with a fresh harness.
-		opts100 := opts
-		opts100.MissPenalty = 100
-		stepName = "latency100"
-		if err := latency100(exp.New(opts100)); err != nil {
-			var pe *exp.PartialError
-			if !errors.As(err, &pe) {
-				return err
-			}
-			partial = err
 		}
 		return partial
 	}()
@@ -456,7 +435,7 @@ func run(args []string) error {
 	interrupted := errors.Is(stepErr, context.Canceled) || errors.Is(stepErr, context.DeadlineExceeded)
 	var pe *exp.PartialError
 	if !interrupted && (stepErr == nil || errors.As(stepErr, &pe)) {
-		if err := finishObs(e, *metricsOut, *pipeOut, *memProfile); err != nil && stepErr == nil {
+		if err := finishObs(e, st.metrics, *metricsOut, *pipeOut, *memProfile); err != nil && stepErr == nil {
 			stepErr = err
 		}
 	}
@@ -572,9 +551,7 @@ func runDiff(args []string) error {
 	rep := obs.DiffMetrics(oldM, newM, obs.DiffOptions{Threshold: *threshold})
 	rep.OldFNV, rep.NewFNV = oldFNV, newFNV
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := jsonWriter(rep)(os.Stdout); err != nil {
 			return err
 		}
 	} else {
@@ -590,7 +567,7 @@ func runDiff(args []string) error {
 // finishObs writes the observability artifacts requested on the command
 // line: the pipeline trace of a representative replay, the metrics
 // snapshot, and the heap profile.
-func finishObs(e *exp.Experiment, metricsOut, pipeOut, memProfile string) error {
+func finishObs(e *exp.Experiment, reg *obs.Registry, metricsOut, pipeOut, memProfile string) error {
 	if pipeOut != "" {
 		app := e.Apps()[0]
 		run, err := e.Run(app)
@@ -599,7 +576,7 @@ func finishObs(e *exp.Experiment, metricsOut, pipeOut, memProfile string) error 
 		}
 		tracer := obs.NewPipeTracer(0)
 		cfg := cpu.Config{Model: consistency.RC, Window: 64, Pipe: tracer}
-		cfg.Metrics, cfg.MetricsPrefix = metricsReg, "cpu."+app+".RC-DS64."
+		cfg.Metrics, cfg.MetricsPrefix = reg, "cpu."+app+".RC-DS64."
 		if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
 			return err
 		}
@@ -609,11 +586,8 @@ func finishObs(e *exp.Experiment, metricsOut, pipeOut, memProfile string) error 
 		fmt.Fprintf(os.Stderr, "hidelat: wrote pipeline trace of %s RC-DS64 (%d instructions) to %s\n",
 			app, tracer.Len(), pipeOut)
 	}
-	if metricsOut != "" {
-		if err := obs.WriteMetricsFile(metricsReg, metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hidelat: wrote metrics snapshot to %s\n", metricsOut)
+	if err := writeArtifact(metricsOut, "metrics snapshot", reg.WriteJSON); err != nil {
+		return err
 	}
 	if memProfile != "" {
 		return obs.WriteHeapProfile(memProfile)
@@ -621,116 +595,217 @@ func finishObs(e *exp.Experiment, metricsOut, pipeOut, memProfile string) error 
 	return nil
 }
 
-// emitCSV switches the column-based experiments to CSV output.
-var emitCSV bool
+// runState is what every step reads beyond its harness: the output
+// switches and artifact paths set on the command line, the metrics
+// registry, and, under -coordinator, the hook that leases each cell
+// attempt to a remote worker.
+type runState struct {
+	csv                       bool
+	analyzeJSON, flameOut     string
+	timelineJSON, timelineCSV string
+	metrics                   *obs.Registry
+	replay                    exp.Replay
+}
 
-// analyzeJSONOut and flameOutPath hold the -analyze-json and -flame-out
-// destinations for the analyze step.
-var analyzeJSONOut, flameOutPath string
+// step is one row of hidelat's experiment table. A spec sweep — a row of
+// exp's sweep table, which holds its specs, title and miss penalty — has
+// a renderer for its columns; any other step runs itself.
+type step struct {
+	name   string
+	run    func(*runState, *exp.Experiment) error
+	render func(*runState, exp.SweepDef, []exp.AppColumns)
+}
+
+// steps is the experiment table, in the order `all` runs it. Only the spec
+// sweeps can run under -coordinator. cachegeom, contexts, contention and
+// machines vary trace generation itself, which no CellSpec can name, so
+// they always run locally. latency100 comes last: it regenerates every
+// trace at its own miss penalty.
+var steps = []step{
+	{name: "table1", run: report((*exp.Experiment).Table1, exp.FormatTable1)},
+	{name: "table2", run: report((*exp.Experiment).Table2, exp.FormatTable2)},
+	{name: "table3", run: report((*exp.Experiment).Table3, exp.FormatTable3)},
+	{name: "fig3", render: printColumns},
+	{name: "fig4", render: printColumns},
+	{name: "summary", render: printSummary},
+	{name: "delays", run: report((*exp.Experiment).DelayReport, text)},
+	{name: "distances", run: report((*exp.Experiment).MissDistanceReport, text)},
+	{name: "issue4", render: printColumns},
+	{name: "wo", render: printColumns},
+	{name: "scpf", render: printColumns},
+	{name: "resched", run: report((*exp.Experiment).ReschedAll, exp.FormatResched)},
+	{name: "cachegeom", run: perApp(exp.AblationCacheSize, exp.FormatCacheGeom)},
+	{name: "contexts", run: perApp(exp.MultipleContexts, exp.FormatMC)},
+	{name: "contention", run: perApp(exp.Contention, exp.FormatContention)},
+	{name: "machines", run: perApp(exp.MachineSweep, exp.FormatMachines)},
+	{name: "ablate", render: printAblation},
+	{name: "analyze", run: analyzeCmd},
+	{name: "timeline", run: timelineCmd},
+	{name: "latency100", render: printColumns},
+}
+
+func lookupStep(name string) (step, bool) {
+	for _, s := range steps {
+		if s.name == name {
+			return s, true
+		}
+	}
+	return step{}, false
+}
+
+// runStep runs one step. A spec sweep replays in process, or with every
+// cell attempt leased to a remote worker under -coordinator, and its
+// renderer prints whatever columns came back, failed cells included.
+func (st *runState) runStep(s step, e *exp.Experiment) error {
+	if s.run != nil {
+		return s.run(st, e)
+	}
+	sw, _ := exp.LookupSweep(s.name)
+	acs, err := harness(e, s.name).Sweep(sw.Specs(), st.replay)
+	if acs != nil {
+		s.render(st, sw, acs)
+	}
+	return err
+}
+
+// harness returns the harness step name runs on: e, or a fresh harness
+// when the step's sweep fixes a miss penalty e's traces were not generated
+// at.
+func harness(e *exp.Experiment, name string) *exp.Experiment {
+	sw, ok := exp.LookupSweep(name)
+	if !ok || sw.MissPenalty == 0 || sw.MissPenalty == e.Options().MissPenalty {
+		return e
+	}
+	o := e.Options()
+	o.MissPenalty = sw.MissPenalty
+	return exp.New(o)
+}
+
+// shutdown drains a server's in-flight requests, falling back to a hard
+// close after two seconds so shutdown can never hang the CLI.
+func shutdown(srv interface{ Shutdown(context.Context) error }) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
+// report is a step that computes one value over every application and
+// prints it.
+func report[T any](compute func(*exp.Experiment) (T, error), format func(T) string) func(*runState, *exp.Experiment) error {
+	return func(_ *runState, e *exp.Experiment) error {
+		v, err := compute(e)
+		if err != nil {
+			return err
+		}
+		fmt.Print(format(v))
+		return nil
+	}
+}
+
+func text(s string) string { return s }
+
+// perApp is a step that regenerates each application's traces under varied
+// machine parameters and prints one report per application.
+func perApp[T any](sweep func(string, exp.Options) (T, error), format func(string, T) string) func(*runState, *exp.Experiment) error {
+	return func(_ *runState, e *exp.Experiment) error {
+		for _, app := range e.Apps() {
+			rows, err := sweep(app, e.Options())
+			if err != nil {
+				return err
+			}
+			fmt.Print(format(app, rows))
+		}
+		return nil
+	}
+}
+
+// printColumns publishes a column experiment's columns as metrics and
+// prints them as tables, or as CSV under -csv.
+func printColumns(st *runState, sw exp.SweepDef, acs []exp.AppColumns) {
+	for _, ac := range acs {
+		exp.RecordColumns(st.metrics, sw.Name, ac.App, ac.Cols)
+	}
+	if st.csv {
+		fmt.Print(exp.ColumnsCSV(acs))
+		return
+	}
+	fmt.Print(exp.FormatAppColumns(sw.Title, acs))
+}
+
+func printSummary(_ *runState, _ exp.SweepDef, acs []exp.AppColumns) {
+	fmt.Print(exp.FormatSummary(exp.SummarizeReadHidden(acs)))
+}
+
+// printAblation prints each application's ablations as one table per
+// group, each against the shared BASE column.
+func printAblation(_ *runState, _ exp.SweepDef, acs []exp.AppColumns) {
+	for _, ac := range acs {
+		fmt.Println(exp.FormatAblations(ac.Cols, func(title, config string) string {
+			return fmt.Sprintf("%s, %s (%s)", title, strings.ToUpper(ac.App), config)
+		}))
+	}
+}
 
 // analyzeCmd runs the critical-path attribution sweep and prints the
 // top-down report. Like the figure steps, a *PartialError still prints the
 // healthy cells and writes the artifacts before being reported at exit.
-func analyzeCmd(e *exp.Experiment) error {
+func analyzeCmd(st *runState, e *exp.Experiment) error {
 	rep, err := e.AnalyzeAll()
 	if rep == nil {
 		return err
 	}
 	fmt.Print(rep.Format())
-	exp.RecordAnalyze(metricsReg, rep)
-	if analyzeJSONOut != "" {
-		werr := obs.WriteFileAtomic(analyzeJSONOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		})
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "hidelat: wrote analyze report to %s\n", analyzeJSONOut)
+	exp.RecordAnalyze(st.metrics, rep)
+	if werr := writeArtifact(st.analyzeJSON, "analyze report", jsonWriter(rep)); werr != nil {
+		return werr
 	}
-	if flameOutPath != "" {
-		werr := obs.WriteFileAtomic(flameOutPath, func(w io.Writer) error {
-			return critpath.WriteFlame(w, rep.FlameCells())
-		})
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "hidelat: wrote attribution flamegraph to %s\n", flameOutPath)
+	flame := func(w io.Writer) error { return critpath.WriteFlame(w, rep.FlameCells()) }
+	if werr := writeArtifact(st.flameOut, "attribution flamegraph", flame); werr != nil {
+		return werr
 	}
 	return err
 }
 
-// timelineJSONOut and timelineCSVOut hold the -timeline-json and
-// -timeline-csv paths for timelineCmd, set by run after flag parsing.
-var timelineJSONOut, timelineCSVOut string
-
-func timelineCmd(e *exp.Experiment) error {
+func timelineCmd(st *runState, e *exp.Experiment) error {
 	rep, err := e.TimelineAll()
 	if rep == nil {
 		return err
 	}
 	fmt.Print(rep.Format())
-	exp.RecordTimeline(metricsReg, rep)
-	if timelineJSONOut != "" {
-		werr := obs.WriteFileAtomic(timelineJSONOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		})
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "hidelat: wrote timeline report to %s\n", timelineJSONOut)
+	exp.RecordTimeline(st.metrics, rep)
+	if werr := writeArtifact(st.timelineJSON, "timeline report", jsonWriter(rep)); werr != nil {
+		return werr
 	}
-	if timelineCSVOut != "" {
-		werr := obs.WriteFileAtomic(timelineCSVOut, func(w io.Writer) error {
-			_, werr := io.WriteString(w, rep.CSV())
-			return werr
-		})
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "hidelat: wrote timeline samples to %s\n", timelineCSVOut)
-	}
-	return err
-}
-
-// columnTitles are the table headings of the column experiments, shared by
-// the local step functions and the distributed coordinator so both paths
-// print byte-identical output.
-var columnTitles = map[string]string{
-	"fig3":       "Figure 3: static vs dynamic scheduling under SC/PC/RC (normalized to BASE)",
-	"fig4":       "Figure 4: perfect branch prediction (PBP) and ignored data dependences (ND) under RC",
-	"latency100": "Latency 100: RC window sweep with a 100-cycle miss penalty (§4.2)",
-	"issue4":     "Multiple issue: RC window sweep at 4-wide issue (§4.2)",
-	"wo":         "Weak ordering: DS window sweep under WO (extension)",
-	"scpf":       "SC with non-binding prefetch: DS window sweep (extension, ref [8] / §6)",
-}
-
-// distCoordinate runs one column experiment as the coordinator of a
-// distributed sweep: start the HTTP surface, run the sweep with every cell
-// attempt leased to remote workers, and print the merged columns through
-// the same epilogue a local run uses.
-func distCoordinate(e *exp.Experiment, step, addr string, lease time.Duration, queueMax int) error {
-	co := dist.New(dist.Config{Lease: lease, QueueMax: queueMax})
-	srv, err := dist.StartServer(addr, co)
-	if err != nil {
+	samples := func(w io.Writer) error {
+		_, err := io.WriteString(w, rep.CSV())
 		return err
 	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer scancel()
-		srv.Shutdown(sctx)
-	}()
-	fmt.Fprintf(os.Stderr, "hidelat: coordinating %s on http://%s/ (join with: hidelat worker -join http://%s)\n",
-		step, srv.Addr, srv.Addr)
-	specs, _ := exp.SweepSpecs(step)
-	acs, err := e.Sweep(specs, co.Replay)
-	if acs != nil {
-		printColumns(columnTitles[step], acs)
+	if werr := writeArtifact(st.timelineCSV, "timeline samples", samples); werr != nil {
+		return werr
 	}
 	return err
+}
+
+// writeArtifact writes a report file atomically, if its path is set, and
+// says so on stderr.
+func writeArtifact(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	if err := obs.WriteFileAtomic(path, write); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "hidelat: wrote %s to %s\n", what, path)
+	return nil
+}
+
+// jsonWriter encodes v as indented JSON.
+func jsonWriter(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
 }
 
 // runWorker implements `hidelat worker -join URL`: claim, replay, and
@@ -771,201 +846,4 @@ func runWorker(args []string) error {
 		return nil // interrupted by the operator; the coordinator reassigns
 	}
 	return err
-}
-
-// metricsReg collects every experiment's metrics when -metrics-out is set.
-var metricsReg *obs.Registry
-
-// stepName is the experiment currently printing (namespaces its metrics).
-var stepName string
-
-func printColumns(title string, acs []exp.AppColumns) {
-	for _, ac := range acs {
-		exp.RecordColumns(metricsReg, stepName, ac.App, ac.Cols)
-	}
-	if emitCSV {
-		fmt.Print(exp.ColumnsCSV(acs))
-		return
-	}
-	fmt.Print(exp.FormatAppColumns(title, acs))
-}
-
-func table1(e *exp.Experiment) error {
-	rows, err := e.Table1()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatTable1(rows))
-	return nil
-}
-
-func table2(e *exp.Experiment) error {
-	rows, err := e.Table2()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatTable2(rows))
-	return nil
-}
-
-func table3(e *exp.Experiment) error {
-	rows, err := e.Table3()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatTable3(rows))
-	return nil
-}
-
-func fig3(e *exp.Experiment) error {
-	acs, err := e.Figure3All()
-	if acs != nil {
-		printColumns(columnTitles["fig3"], acs)
-	}
-	return err
-}
-
-func fig4(e *exp.Experiment) error {
-	acs, err := e.Figure4All()
-	if acs != nil {
-		printColumns(columnTitles["fig4"], acs)
-	}
-	return err
-}
-
-func summary(e *exp.Experiment) error {
-	avg, perApp, err := e.ReadHiddenSummary()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatSummary(avg, perApp))
-	return nil
-}
-
-func delays(e *exp.Experiment) error {
-	s, err := e.DelayReport()
-	if err != nil {
-		return err
-	}
-	fmt.Print(s)
-	return nil
-}
-
-func latency100(e *exp.Experiment) error {
-	acs, err := e.WindowSweepAll()
-	if acs != nil {
-		printColumns(columnTitles["latency100"], acs)
-	}
-	return err
-}
-
-func issue4(e *exp.Experiment) error {
-	acs, err := e.Issue4All()
-	if acs != nil {
-		printColumns(columnTitles["issue4"], acs)
-	}
-	return err
-}
-
-func wo(e *exp.Experiment) error {
-	acs, err := e.WOAll()
-	if acs != nil {
-		printColumns(columnTitles["wo"], acs)
-	}
-	return err
-}
-
-func scpf(e *exp.Experiment) error {
-	acs, err := e.SCPrefetchAll()
-	if acs != nil {
-		printColumns(columnTitles["scpf"], acs)
-	}
-	return err
-}
-
-func reschedCmd(e *exp.Experiment) error {
-	rows, err := e.ReschedAll()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatResched(rows))
-	return nil
-}
-
-func contexts(e *exp.Experiment) error {
-	for _, app := range e.Apps() {
-		for _, penalty := range []int{1, 16} {
-			rows, err := e.MultipleContexts(app, penalty)
-			if err != nil {
-				return err
-			}
-			fmt.Print(exp.FormatMC(rows))
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func contention(e *exp.Experiment) error {
-	for _, app := range e.Apps() {
-		rows, err := exp.Contention(app, e.Options())
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatContention(app, rows))
-	}
-	return nil
-}
-
-func machines(e *exp.Experiment) error {
-	for _, app := range e.Apps() {
-		rows, err := exp.MachineSweep(app, e.Options())
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatMachines(app, rows))
-	}
-	return nil
-}
-
-func cachegeom(e *exp.Experiment) error {
-	for _, app := range e.Apps() {
-		rows, err := exp.AblationCacheSize(app, e.Options())
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatCacheGeom(app, rows))
-	}
-	return nil
-}
-
-func distances(e *exp.Experiment) error {
-	s, err := e.MissDistanceReport()
-	if err != nil {
-		return err
-	}
-	fmt.Print(s)
-	return nil
-}
-
-func ablate(e *exp.Experiment) error {
-	for _, app := range e.Apps() {
-		sb, err := e.AblationStoreBuffer(app)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatColumns(fmt.Sprintf("Store-buffer depth ablation, %s (RC, window 64)", strings.ToUpper(app)), sb))
-		ms, err := e.AblationMSHR(app)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatColumns(fmt.Sprintf("MSHR ablation, %s (RC, window 64)", strings.ToUpper(app)), ms))
-		bt, err := e.AblationBTB(app)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatColumns(fmt.Sprintf("BTB size ablation, %s (RC, window 128)", strings.ToUpper(app)), bt))
-		fmt.Println()
-	}
-	return nil
 }

@@ -34,22 +34,13 @@ func TestConvertRoundTrip(t *testing.T) {
 		t.Fatalf("v3 -> v3 conversion not byte-identical: %d vs %d bytes", len(got), len(want))
 	}
 
-	tr, err := load(src)
+	// The flat-record fixture was written by the retired version-2 writer.
+	v2 := filepath.Join("..", "..", "internal", "trace", "testdata", "mini.v2.trace")
+	tr, err := load(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(dir, "lu.v2.trace")
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.WriteToV2(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out2 := filepath.Join(dir, "lu.v2to3.trace")
+	out2 := filepath.Join(dir, "mini.v2to3.trace")
 	if err := run([]string{"convert", "-o", out2, v2}); err != nil {
 		t.Fatalf("convert v2: %v", err)
 	}

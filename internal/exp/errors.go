@@ -86,23 +86,19 @@ func (e *permanentError) Error() string   { return e.err.Error() }
 func (e *permanentError) Unwrap() error   { return e.err }
 func (e *permanentError) Permanent() bool { return true }
 
-// isPermanent reports whether any error in the chain declares itself
+// IsPermanent reports whether any error in the chain declares itself
 // permanent (cpu.WatchdogError, tango.MachineError, cached generation
 // failures). Context cancellation is likewise terminal: retrying a canceled
-// cell only delays shutdown.
-func isPermanent(err error) bool {
+// cell only delays shutdown. The distributed worker classifies a replay
+// failure with it before reporting, so a distributed sweep retries only
+// what a local attempt would have retried.
+func IsPermanent(err error) bool {
 	var p interface{ Permanent() bool }
 	if errors.As(err, &p) && p.Permanent() {
 		return true
 	}
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-// IsPermanent is the exported form of isPermanent, for callers outside the
-// scheduler that must apply the same retry policy — the distributed worker
-// classifies a replay failure before reporting it, so a distributed sweep
-// retries only what a local attempt() would have retried.
-func IsPermanent(err error) bool { return isPermanent(err) }
 
 // DefaultRetryBackoff is the first-retry delay when Options.RetryBackoff is
 // zero; it doubles on each subsequent attempt.
@@ -167,7 +163,7 @@ func (o *Options) attempt(label string, index int, fn func() error) *CellError {
 			return nil
 		}
 		last = &CellError{Label: label, Index: index, Attempts: a, Err: err, Stack: stack}
-		if isPermanent(err) || ctxDone(o.Ctx) != nil {
+		if IsPermanent(err) || ctxDone(o.Ctx) != nil {
 			break
 		}
 		if a <= o.Retries {

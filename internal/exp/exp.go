@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -220,19 +221,7 @@ func (e *Experiment) RunAll(names ...string) ([]*AppRun, error) {
 	if len(names) == 0 {
 		names = e.Apps()
 	}
-	runs := make([]*AppRun, len(names))
-	err := runJobs(len(names), e.opts.Workers, func(i int) error {
-		r, err := e.Run(names[i])
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
+	return collect(len(names), e.opts.Workers, func(i int) (*AppRun, error) { return e.Run(names[i]) })
 }
 
 // generate performs one application's trace generation (the multiprocessor
@@ -432,9 +421,11 @@ func RecordColumns(reg *obs.Registry, figure, app string, cols []Column) {
 	}
 }
 
-func normalize(cols []Column) {
-	// cols[0] is the BASE reference; if it failed there is nothing to
-	// normalize against and the surviving columns keep their raw numbers.
+// NormalizeColumns fills the Normalized and ReadHidden fields of a finished
+// column set against cols[0], the BASE reference. If BASE failed there is
+// nothing to normalize against and the surviving columns keep their raw
+// numbers.
+func NormalizeColumns(cols []Column) {
 	if len(cols) == 0 || cols[0].Failed {
 		return
 	}
@@ -470,72 +461,43 @@ func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
 	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
 }
 
-// replaySpecs replays specs over one trace, fanning the cells across
-// GOMAXPROCS workers, and returns the columns in spec order, normalized.
-// The lowest-index failure aborts the sweep.
-func replaySpecs(tr *trace.Trace, specs []CellSpec) ([]Column, error) {
-	cols := make([]Column, len(specs))
-	err := runJobs(len(specs), 0, func(i int) (err error) {
-		cols[i], err = RunSpec(tr, specs[i], nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	normalize(cols)
-	return cols, nil
-}
-
-// Figure3 runs the §4.1 processor/model matrix over one application trace.
-func Figure3(tr *trace.Trace) ([]Column, error) { return replaySpecs(tr, Figure3Specs()) }
-
-// Figure4 runs the §4.1.3 isolation experiment over one application trace.
-func Figure4(tr *trace.Trace) ([]Column, error) { return replaySpecs(tr, Figure4Specs()) }
-
-// WindowSweep runs the DS processor across the window sizes under a model
-// over one application trace.
-func WindowSweep(tr *trace.Trace, model consistency.Model) ([]Column, error) {
-	return replaySpecs(tr, WindowSweepSpecs(model))
-}
-
 // ReadHiddenSummary reproduces the concluding statistic of §7: the average
 // fraction of read latency hidden across the applications for each window
 // size under RC ("33% for window size of 16, 63% for window size of 32, and
-// 81% for window size of 64" in the paper). The per-application sweeps run
-// concurrently; the average is accumulated in application order afterwards,
-// so the floating-point result is worker-count independent.
+// 81% for window size of 64" in the paper), folded from the RC window
+// sweep.
 func (e *Experiment) ReadHiddenSummary() (map[int]float64, map[string]map[int]float64, error) {
-	apps := e.Apps()
-	rows := make([]map[int]float64, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		base := cpu.RunBase(run.Trace)
-		row := make(map[int]float64, len(Windows))
-		for _, w := range Windows {
-			res, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: w})
-			if err != nil {
-				return err
-			}
-			h := 0.0
-			if base.Breakdown.Read > 0 {
-				h = 1 - float64(res.Breakdown.Read)/float64(base.Breakdown.Read)
-			}
-			row[w] = h
-		}
-		rows[i] = row
-		return nil
-	})
+	acs, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	perApp := make(map[string]map[int]float64, len(apps))
-	avg := make(map[int]float64, len(Windows))
-	for i, app := range apps {
-		perApp[app] = rows[i]
-		for _, w := range Windows {
-			avg[w] += rows[i][w] / float64(len(apps))
-		}
-	}
+	avg, perApp := SummarizeReadHidden(acs)
 	return avg, perApp, nil
+}
+
+// SummarizeReadHidden folds an RC window sweep into the §7 summary: each
+// application's read latency hidden per window, and their average. The
+// average is accumulated in application order, so the floating-point
+// result is worker-count independent. A failed cell, or every cell of an
+// application whose BASE failed, reads NaN.
+func SummarizeReadHidden(acs []AppColumns) (avg map[int]float64, perApp map[string]map[int]float64) {
+	perApp = make(map[string]map[int]float64, len(acs))
+	avg = make(map[int]float64, len(Windows))
+	for _, ac := range acs {
+		row := make(map[int]float64, len(Windows))
+		for _, c := range ac.Cols {
+			if c.Arch != "DS" {
+				continue
+			}
+			row[c.Window] = c.ReadHidden
+			if c.Failed || ac.Cols[0].Failed {
+				row[c.Window] = math.NaN()
+			}
+			avg[c.Window] += row[c.Window] / float64(len(acs))
+		}
+		perApp[ac.App] = row
+	}
+	return avg, perApp
 }
 
 // ReadMissDelays reproduces the §4.1.3 diagnostic: the distribution of

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dynsched/internal/apps"
-	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 )
 
@@ -159,14 +158,11 @@ func TestFigure3Trends(t *testing.T) {
 // for the applications with balanced write traffic.
 func TestPCHidesWritesForLU(t *testing.T) {
 	e := smallExp(t, "lu")
-	run, err := e.Run("lu")
+	acs, err := e.Figure3All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := Figure3(run.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cols := acs[0].Cols
 	base := colByLabel(t, cols, "BASE")
 	pc := colByLabel(t, cols, "PC-SSBR")
 	if base.Breakdown.Write == 0 {
@@ -283,12 +279,13 @@ func TestLatency100(t *testing.T) {
 	if run.Trace.MissPenalty != 100 {
 		t.Fatalf("trace generated with penalty %d", run.Trace.MissPenalty)
 	}
-	cols, err := WindowSweep(run.Trace, consistency.RC)
+	specs, _ := SweepSpecs("latency100")
+	acs, err := e.Sweep(specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w64 := colByLabel(t, cols, "RC-DS64")
-	w128 := colByLabel(t, cols, "RC-DS128")
+	w64 := colByLabel(t, acs[0].Cols, "RC-DS64")
+	w128 := colByLabel(t, acs[0].Cols, "RC-DS128")
 	// With 100-cycle latency, window 64 cannot fully hide reads; 128 helps.
 	if w128.Breakdown.Read > w64.Breakdown.Read {
 		t.Errorf("window 128 read stall %d exceeds window 64's %d at latency 100",
@@ -316,26 +313,24 @@ func TestIssue4(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	e := smallExp(t, "mp3d")
-	sb, err := e.AblationStoreBuffer("mp3d")
+	acs, err := e.Sweep(AblationSpecs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if colByLabel(t, sb, "SB1").Breakdown.Total() < colByLabel(t, sb, "SB32").Breakdown.Total() {
+	cols := acs[0].Cols
+	if colByLabel(t, cols, "SB1").Breakdown.Total() < colByLabel(t, cols, "SB32").Breakdown.Total() {
 		t.Error("deeper store buffer should not be slower")
 	}
-	ms, err := e.AblationMSHR("mp3d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if colByLabel(t, ms, "MSHR1").Breakdown.Total() < colByLabel(t, ms, "MSHRinf").Breakdown.Total() {
+	if colByLabel(t, cols, "MSHR1").Breakdown.Total() < colByLabel(t, cols, "MSHRinf").Breakdown.Total() {
 		t.Error("more MSHRs should not be slower")
 	}
-	bt, err := e.AblationBTB("mp3d")
-	if err != nil {
-		t.Fatal(err)
+	// BASE, six store-buffer depths, six MSHR counts, five BTB sizes.
+	if len(cols) != 18 || cols[0].Label != "BASE" || cols[13].Label != "BTB64" {
+		t.Errorf("ablation columns = %v, want BASE, SB*, MSHR*, BTB*", labels(cols))
 	}
-	if len(bt) != 6 {
-		t.Errorf("BTB ablation columns = %d, want 6", len(bt))
+	out := FormatAblations(cols, func(title, config string) string { return title + " (" + config + ")" })
+	if strings.Count(out, "BASE ") != 3 || !strings.Contains(out, "BTB size ablation (RC, window 128)") {
+		t.Errorf("FormatAblations should print three tables, each with the BASE row:\n%s", out)
 	}
 }
 
@@ -404,19 +399,26 @@ func TestMissDistanceReport(t *testing.T) {
 
 func TestMultipleContexts(t *testing.T) {
 	e := smallExp(t, "lu")
-	rows, err := e.MultipleContexts("lu", 1)
+	rows, err := MultipleContexts("lu", e.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (contexts 1,2,4,8)", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 8 (contexts 1,2,4,8 at switch penalties 1 and 16)", len(rows))
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Result.Utilization < rows[i-1].Result.Utilization {
+	for i := 1; i < 4; i++ { // switch penalty 1
+		if rows[i].SwitchPenalty != 1 || rows[i].Result.Utilization < rows[i-1].Result.Utilization {
 			t.Errorf("utilization fell from %d to %d contexts", rows[i-1].Contexts, rows[i].Contexts)
 		}
 	}
-	out := FormatMC(rows)
+	// A dearer switch never raises utilization.
+	for i := 0; i < 4; i++ {
+		if p1, p16 := rows[i], rows[i+4]; p16.SwitchPenalty != 16 || p16.Result.Utilization > p1.Result.Utilization {
+			t.Errorf("%d contexts: utilization %.3f at penalty 16 exceeds %.3f at penalty 1",
+				p1.Contexts, p16.Result.Utilization, p1.Result.Utilization)
+		}
+	}
+	out := FormatMC("lu", rows)
 	if !strings.Contains(out, "utilization") {
 		t.Errorf("FormatMC output malformed:\n%s", out)
 	}

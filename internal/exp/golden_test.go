@@ -81,23 +81,13 @@ func TestGoldenSmallScale(t *testing.T) {
 func TestAblationGolden(t *testing.T) {
 	e := smallExp(t, "mp3d", "lu")
 	e.opts.Workers = 2
+	acs, err := e.Sweep(AblationSpecs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
-	for _, app := range e.Apps() {
-		sb, err := e.AblationStoreBuffer(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(FormatColumns("Store-buffer depth ablation, "+app, sb))
-		ms, err := e.AblationMSHR(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(FormatColumns("MSHR ablation, "+app, ms))
-		bt, err := e.AblationBTB(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(FormatColumns("BTB size ablation, "+app, bt))
+	for _, ac := range acs {
+		out.WriteString(FormatAblations(ac.Cols, func(title, _ string) string { return title + ", " + ac.App }))
 	}
 	golden.Check(t, "ablation.golden", []byte(out.String()))
 }

@@ -94,14 +94,11 @@ func TestMetricsMatchBreakdown(t *testing.T) {
 // hidelat -metrics-out.
 func TestRecordColumns(t *testing.T) {
 	e := New(Options{NumCPUs: 4, Scale: apps.ScaleSmall, TraceCPU: 1, Apps: []string{"lu"}})
-	run, err := e.Run("lu")
+	acs, err := e.Figure3All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := Figure3(run.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cols := acs[0].Cols
 	reg := obs.NewRegistry()
 	RecordColumns(reg, "fig3", "lu", cols)
 	for _, c := range cols {

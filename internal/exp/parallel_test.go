@@ -35,7 +35,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := e.WindowSweepAll()
+		ws, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		t.Errorf("Figure3All differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial3, par3)
 	}
 	if serialWS != parWS {
-		t.Errorf("WindowSweepAll differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialWS, parWS)
+		t.Errorf("the RC window sweep differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialWS, parWS)
 	}
 }
 

@@ -52,27 +52,13 @@ func (e *Experiment) SCPrefetchAll() ([]AppColumns, error) {
 // distributions ("90% of the read misses are a distance of 20-30
 // instructions apart" for LU).
 func (e *Experiment) MissDistanceReport() (string, error) {
-	apps := e.Apps()
-	lines := make([]string, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		lines[i] = fmt.Sprintf("%-6s %s\n", strings.ToUpper(apps[i]), run.Trace.ReadMissDistances())
-		return nil
+	lines, err := perApp(e, func(app string, run *AppRun) (string, error) {
+		return fmt.Sprintf("%-6s %s\n", strings.ToUpper(app), run.Trace.ReadMissDistances()), nil
 	})
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	sb.WriteString("Distance between consecutive read misses, in instructions (§4.1.3)\n")
-	for _, l := range lines {
-		sb.WriteString(l)
-	}
-	return sb.String(), nil
-}
-
-// WindowSweepAll runs the plain RC window sweep for every application; with
-// Options.MissPenalty set to 100 this is the §4.2 higher-latency experiment.
-func (e *Experiment) WindowSweepAll() ([]AppColumns, error) {
-	return e.Sweep(WindowSweepSpecs(consistency.RC), nil)
+	return "Distance between consecutive read misses, in instructions (§4.1.3)\n" + strings.Join(lines, ""), nil
 }
 
 // WOAll evaluates the weak ordering model (described in §2.1 but not
@@ -88,6 +74,21 @@ func FormatAppColumns(title string, acs []AppColumns) string {
 	for _, ac := range acs {
 		sb.WriteString("\n")
 		sb.WriteString(FormatColumns(strings.ToUpper(ac.App), ac.Cols))
+	}
+	return sb.String()
+}
+
+// FormatAblations renders one application's ablate columns (in
+// AblationSpecs order) as one table per group, each against the shared
+// BASE column. heading names a table from its group's title and fixed
+// configuration.
+func FormatAblations(cols []Column, heading func(title, config string) string) string {
+	var sb strings.Builder
+	next := 1
+	for _, g := range ablations {
+		group := append([]Column{cols[0]}, cols[next:next+len(g.specs)]...)
+		sb.WriteString(FormatColumns(heading(g.title, g.config), group))
+		next += len(g.specs)
 	}
 	return sb.String()
 }
@@ -119,66 +120,19 @@ func FormatSummary(avg map[int]float64, perApp map[string]map[int]float64) strin
 
 // DelayReport runs the read-miss delay diagnostic for every application.
 func (e *Experiment) DelayReport() (string, error) {
-	apps := e.Apps()
-	lines := make([]string, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
+	lines, err := perApp(e, func(app string, run *AppRun) (string, error) {
 		h, err := ReadMissDelays(run.Trace)
 		if err != nil {
-			return err
+			return "", err
 		}
-		lines[i] = fmt.Sprintf("%-6s misses=%-7d >40cy=%4.0f%%  >50cy=%4.0f%%  >10cy=%4.0f%%\n",
-			strings.ToUpper(apps[i]), h.Total,
-			100*h.FractionAbove(40), 100*h.FractionAbove(50), 100*h.FractionAbove(10))
-		return nil
+		return fmt.Sprintf("%-6s misses=%-7d >40cy=%4.0f%%  >50cy=%4.0f%%  >10cy=%4.0f%%\n",
+			strings.ToUpper(app), h.Total,
+			100*h.FractionAbove(40), 100*h.FractionAbove(50), 100*h.FractionAbove(10)), nil
 	})
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	sb.WriteString("Read-miss decode-to-issue delay, RC, window 64, perfect branch prediction (§4.1.3)\n")
-	for _, l := range lines {
-		sb.WriteString(l)
-	}
-	return sb.String(), nil
-}
-
-// ablation runs one application's ablation sweep: the BASE reference
-// column followed by specs. A failed trace generation is returned as the
-// error itself rather than as a sweep of failed cells.
-func (e *Experiment) ablation(app string, specs []CellSpec) ([]Column, error) {
-	if _, err := e.Run(app); err != nil {
-		return nil, err
-	}
-	specs = append([]CellSpec{{Label: "BASE", Arch: "BASE", Model: "SC"}}, specs...)
-	acs, err := e.perAppCells([]string{app}, specs, "", nil, nil)
-	if acs == nil {
-		return nil, err
-	}
-	return acs[0].Cols, err
-}
-
-// AblationStoreBuffer sweeps the DS store-buffer depth under RC at window 64.
-func (e *Experiment) AblationStoreBuffer(app string) ([]Column, error) {
-	var specs []CellSpec
-	for _, depth := range []int{1, 2, 4, 8, 16, 32} {
-		specs = append(specs, CellSpec{
-			Label: fmt.Sprintf("SB%d", depth), Arch: "DS", Model: "RC", Window: 64, StoreBufDepth: depth,
-		})
-	}
-	return e.ablation(app, specs)
-}
-
-// AblationMSHR sweeps the number of outstanding misses allowed.
-func (e *Experiment) AblationMSHR(app string) ([]Column, error) {
-	var specs []CellSpec
-	for _, n := range []int{1, 2, 4, 8, 16, 0} {
-		label := fmt.Sprintf("MSHR%d", n)
-		if n == 0 {
-			label = "MSHRinf"
-		}
-		specs = append(specs, CellSpec{Label: label, Arch: "DS", Model: "RC", Window: 64, MSHRs: n})
-	}
-	return e.ablation(app, specs)
+	return "Read-miss decode-to-issue delay, RC, window 64, perfect branch prediction (§4.1.3)\n" + strings.Join(lines, ""), nil
 }
 
 // MachineRow is one machine size of the processor-count sweep.
@@ -195,44 +149,44 @@ type MachineRow struct {
 // the paper's fixed choice of 16 processors. The machine sizes simulate
 // concurrently, bounded by base.Workers.
 func MachineSweep(app string, base Options) ([]MachineRow, error) {
-	sizes := []int{2, 4, 8, 16, 32}
-	out := make([]*MachineRow, len(sizes))
-	err := runJobs(len(sizes), base.Workers, func(i int) error {
-		n := sizes[i]
+	var sizes []int
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		// Small problem scales cannot always feed 32 processors; skip
+		// machine sizes the application cannot be built for.
+		if _, err := apps.Build(app, n, base.Scale); err == nil {
+			sizes = append(sizes, n)
+		}
+	}
+	return regenerate(app, base, len(sizes), func(i int, e *Experiment) { e.opts.NumCPUs = sizes[i] },
+		func(i int, run *AppRun) (MachineRow, error) {
+			d := run.Trace.Data()
+			b := cpu.RunBase(run.Trace)
+			return MachineRow{
+				App:          app,
+				NumCPUs:      sizes[i],
+				ReadMissRate: d.Per1000(d.ReadMisses),
+				SyncFraction: float64(b.Breakdown.Sync) / float64(b.Breakdown.Total()),
+				BusyCycles:   d.BusyCycles,
+			}, nil
+		})
+}
+
+// regenerate runs fn over app's trace generated under each of n variants
+// of base — vary adjusts variant i's fresh harness before it generates —
+// concurrently, bounded by base.Workers, and returns the results in
+// variant order.
+func regenerate[T any](app string, base Options, n int, vary func(i int, e *Experiment), fn func(i int, run *AppRun) (T, error)) ([]T, error) {
+	return collect(n, base.Workers, func(i int) (v T, err error) {
 		opts := base
 		opts.Apps = []string{app}
-		opts.NumCPUs = n
 		e := New(opts)
+		vary(i, e)
 		run, err := e.Run(app)
 		if err != nil {
-			// Small problem scales cannot always feed 32 processors; skip
-			// machine sizes the application cannot be built for.
-			if _, buildErr := apps.Build(app, n, opts.Scale); buildErr != nil {
-				return nil
-			}
-			return err
+			return v, err
 		}
-		d := run.Trace.Data()
-		b := cpu.RunBase(run.Trace)
-		out[i] = &MachineRow{
-			App:          app,
-			NumCPUs:      n,
-			ReadMissRate: d.Per1000(d.ReadMisses),
-			SyncFraction: float64(b.Breakdown.Sync) / float64(b.Breakdown.Total()),
-			BusyCycles:   d.BusyCycles,
-		}
-		return nil
+		return fn(i, run)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []MachineRow
-	for _, r := range out {
-		if r != nil {
-			rows = append(rows, *r)
-		}
-	}
-	return rows, nil
 }
 
 // FormatMachines renders the processor-count sweep.
@@ -264,44 +218,30 @@ type ContentionRow struct {
 // concurrently, bounded by base.Workers.
 func Contention(app string, base Options) ([]ContentionRow, error) {
 	intervals := []uint32{0, 4, 10, 25}
-	rows := make([]ContentionRow, len(intervals))
-	err := runJobs(len(intervals), base.Workers, func(i int) error {
-		interval := intervals[i]
-		opts := base
-		opts.Apps = []string{app}
-		opts.MemIssueInterval = interval
-		e := New(opts)
-		run, err := e.Run(app)
-		if err != nil {
-			return err
-		}
-		var lat, misses uint64
-		for j := range run.Trace.Events {
-			ev := &run.Trace.Events[j]
-			if ev.Instr.Op == isa.OpLd && ev.Miss {
-				misses++
-				lat += uint64(ev.Latency)
+	return regenerate(app, base, len(intervals), func(i int, e *Experiment) { e.opts.MemIssueInterval = intervals[i] },
+		func(i int, run *AppRun) (ContentionRow, error) {
+			var lat, misses uint64
+			for j := range run.Trace.Events {
+				ev := &run.Trace.Events[j]
+				if ev.Instr.Op == isa.OpLd && ev.Miss {
+					misses++
+					lat += uint64(ev.Latency)
+				}
 			}
-		}
-		avg := 0.0
-		if misses > 0 {
-			avg = float64(lat) / float64(misses)
-		}
-		baseRes := cpu.RunBase(run.Trace)
-		dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
-		if err != nil {
-			return err
-		}
-		rows[i] = ContentionRow{
-			App: app, IssueInterval: interval, AvgMissLat: avg,
-			BaseTotal: baseRes.Breakdown.Total(), DSTotal: dsRes.Breakdown.Total(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+			avg := 0.0
+			if misses > 0 {
+				avg = float64(lat) / float64(misses)
+			}
+			baseRes := cpu.RunBase(run.Trace)
+			dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+			if err != nil {
+				return ContentionRow{}, err
+			}
+			return ContentionRow{
+				App: app, IssueInterval: intervals[i], AvgMissLat: avg,
+				BaseTotal: baseRes.Breakdown.Total(), DSTotal: dsRes.Breakdown.Total(),
+			}, nil
+		})
 }
 
 // FormatContention renders the bandwidth ablation.
@@ -332,26 +272,32 @@ type MCRow struct {
 	DSUtil float64
 }
 
+// switchPenalties are the context-switch costs the multiple-contexts
+// comparison runs at.
+var switchPenalties = []int{1, 16}
+
 // MultipleContexts evaluates the §5 competitive technique: a switch-on-miss
 // multithreaded processor running 1, 2, 4, and 8 contexts (the traces of
-// processors 0..K-1 from the same multiprocessor run), at the given switch
-// penalty. Utilization rises with contexts until synchronization and switch
-// overhead dominate — the classic multiple-contexts trade-off — and the row
-// set allows a direct comparison against dynamic scheduling's utilization
-// on a single context.
-func (e *Experiment) MultipleContexts(app string, switchPenalty int) ([]MCRow, error) {
-	a, err := apps.Build(app, e.opts.NumCPUs, e.opts.Scale)
+// processors 0..K-1 from the same multiprocessor run), at each switch
+// penalty in turn. Utilization rises with contexts until synchronization
+// and switch overhead dominate — the classic multiple-contexts trade-off —
+// and the row set allows a direct comparison against dynamic scheduling's
+// utilization on a single context. One multiprocessor simulation, recording
+// every processor's trace, serves every penalty.
+func MultipleContexts(app string, base Options) ([]MCRow, error) {
+	base.fillDefaults()
+	a, err := apps.Build(app, base.NumCPUs, base.Scale)
 	if err != nil {
 		return nil, err
 	}
 	cfg := tango.Config{
-		NumCPUs:   e.opts.NumCPUs,
-		TraceCPU:  e.opts.TraceCPU % e.opts.NumCPUs,
+		NumCPUs:   base.NumCPUs,
+		TraceCPU:  base.TraceCPU % base.NumCPUs,
 		Mem:       mem.DefaultConfig(),
 		RecordAll: true,
-		Ctx:       e.opts.Ctx,
+		Ctx:       base.Ctx,
 	}
-	cfg.Mem.MissPenalty = e.opts.MissPenalty
+	cfg.Mem.MissPenalty = base.MissPenalty
 	res, err := tango.Run(a.Progs, func(pm *vm.PagedMem) { a.Init(pm) }, cfg)
 	if err != nil {
 		return nil, err
@@ -364,35 +310,38 @@ func (e *Experiment) MultipleContexts(app string, switchPenalty int) ([]MCRow, e
 	dsUtil := float64(ds.Breakdown.Busy) / float64(ds.Breakdown.Total())
 
 	var rows []MCRow
-	for _, k := range []int{1, 2, 4, 8} {
-		if k > len(res.Traces) {
-			break
+	for _, penalty := range switchPenalties {
+		for _, k := range []int{1, 2, 4, 8} {
+			if k > len(res.Traces) {
+				break
+			}
+			mc, err := cpu.RunMC(res.Traces[:k], penalty)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, MCRow{
+				App: app, Contexts: k, SwitchPenalty: penalty, Result: mc, DSUtil: dsUtil,
+			})
 		}
-		mc, err := cpu.RunMC(res.Traces[:k], switchPenalty)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, MCRow{
-			App: app, Contexts: k, SwitchPenalty: switchPenalty, Result: mc, DSUtil: dsUtil,
-		})
 	}
 	return rows, nil
 }
 
-// FormatMC renders the multiple-contexts comparison.
-func FormatMC(rows []MCRow) string {
+// FormatMC renders the multiple-contexts comparison, one table per switch
+// penalty, and ends with a blank line.
+func FormatMC(app string, rows []MCRow) string {
 	var sb strings.Builder
-	if len(rows) == 0 {
-		return ""
-	}
-	fmt.Fprintf(&sb, "Multiple hardware contexts vs dynamic scheduling, %s (switch penalty %d; paper §5)\n",
-		strings.ToUpper(rows[0].App), rows[0].SwitchPenalty)
-	fmt.Fprintf(&sb, "%-10s %12s %12s %12s %14s\n", "contexts", "cycles", "switches", "utilization", "RC-DS64 util")
-	for _, r := range rows {
+	for i, r := range rows {
+		if i == 0 || r.SwitchPenalty != rows[i-1].SwitchPenalty {
+			fmt.Fprintf(&sb, "Multiple hardware contexts vs dynamic scheduling, %s (switch penalty %d; paper §5)\n",
+				strings.ToUpper(app), r.SwitchPenalty)
+			fmt.Fprintf(&sb, "%-10s %12s %12s %12s %14s\n", "contexts", "cycles", "switches", "utilization", "RC-DS64 util")
+		}
 		fmt.Fprintf(&sb, "%-10d %12d %12d %11.0f%% %13.0f%%\n",
 			r.Contexts, r.Result.Breakdown.Total(), r.Result.Switches,
 			100*r.Result.Utilization, 100*r.DSUtil)
 	}
+	sb.WriteString("\n")
 	return sb.String()
 }
 
@@ -417,42 +366,35 @@ type ReschedRow struct {
 // The per-application pipelines (reschedule, then four replays) run
 // concurrently, bounded by Options.Workers.
 func (e *Experiment) ReschedAll() ([]ReschedRow, error) {
-	apps := e.Apps()
-	rows := make([]ReschedRow, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
+	return perApp(e, func(app string, run *AppRun) (ReschedRow, error) {
 		moved, st := resched.Reschedule(run.Trace, 0)
 		aggMoved, aggSt := resched.RescheduleLevel(run.Trace, 64, resched.Aggressive)
 		base := cpu.RunBase(run.Trace)
 		ssO, err := cpu.RunSS(run.Trace, cpu.Config{Model: consistency.RC})
 		if err != nil {
-			return err
+			return ReschedRow{}, err
 		}
 		ssR, err := cpu.RunSS(moved, cpu.Config{Model: consistency.RC})
 		if err != nil {
-			return err
+			return ReschedRow{}, err
 		}
 		ssA, err := cpu.RunSS(aggMoved, cpu.Config{Model: consistency.RC})
 		if err != nil {
-			return err
+			return ReschedRow{}, err
 		}
 		ds16, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 16})
 		if err != nil {
-			return err
+			return ReschedRow{}, err
 		}
-		rows[i] = ReschedRow{
-			App: apps[i], Stats: st, AggStats: aggSt,
+		return ReschedRow{
+			App: app, Stats: st, AggStats: aggSt,
 			BaseTotal:     base.Breakdown.Total(),
 			SSOriginal:    ssO.Breakdown.Total(),
 			SSRescheduled: ssR.Breakdown.Total(),
 			SSAggressive:  ssA.Breakdown.Total(),
 			DS16:          ds16.Breakdown.Total(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatResched renders the compiler-rescheduling comparison.
@@ -487,36 +429,22 @@ type CacheGeomRow struct {
 // shrinking the cache adds capacity misses on top.
 func AblationCacheSize(app string, base Options) ([]CacheGeomRow, error) {
 	sizes := []int{8, 16, 32, 64, 128}
-	rows := make([]CacheGeomRow, len(sizes))
-	err := runJobs(len(sizes), base.Workers, func(i int) error {
-		kb := sizes[i]
-		opts := base
-		opts.Apps = []string{app}
-		e := New(opts)
-		e.cacheBytes = uint64(kb) << 10
-		run, err := e.Run(app)
-		if err != nil {
-			return err
-		}
-		d := run.Trace.Data()
-		baseRes := cpu.RunBase(run.Trace)
-		dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
-		if err != nil {
-			return err
-		}
-		rows[i] = CacheGeomRow{
-			CacheKB:       kb,
-			ReadMissRate:  d.Per1000(d.ReadMisses),
-			WriteMissRate: d.Per1000(d.WriteMisses),
-			BaseTotal:     baseRes.Breakdown.Total(),
-			DSTotal:       dsRes.Breakdown.Total(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return regenerate(app, base, len(sizes), func(i int, e *Experiment) { e.cacheBytes = uint64(sizes[i]) << 10 },
+		func(i int, run *AppRun) (CacheGeomRow, error) {
+			d := run.Trace.Data()
+			baseRes := cpu.RunBase(run.Trace)
+			dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+			if err != nil {
+				return CacheGeomRow{}, err
+			}
+			return CacheGeomRow{
+				CacheKB:       sizes[i],
+				ReadMissRate:  d.Per1000(d.ReadMisses),
+				WriteMissRate: d.Per1000(d.WriteMisses),
+				BaseTotal:     baseRes.Breakdown.Total(),
+				DSTotal:       dsRes.Breakdown.Total(),
+			}, nil
+		})
 }
 
 // FormatCacheGeom renders the cache-size ablation.
@@ -530,16 +458,4 @@ func FormatCacheGeom(app string, rows []CacheGeomRow) string {
 			r.BaseTotal, r.DSTotal, 100*float64(r.DSTotal)/float64(r.BaseTotal))
 	}
 	return sb.String()
-}
-
-// AblationBTB sweeps the 4-way BTB size at window 128 under RC, isolating
-// how much prediction capacity the large windows need.
-func (e *Experiment) AblationBTB(app string) ([]Column, error) {
-	var specs []CellSpec
-	for _, entries := range []int{64, 256, 1024, 2048, 8192} {
-		specs = append(specs, CellSpec{
-			Label: fmt.Sprintf("BTB%d", entries), Arch: "DS", Model: "RC", Window: 128, BTBEntries: entries,
-		})
-	}
-	return e.ablation(app, specs)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dynsched/internal/apps"
+	"dynsched/internal/consistency"
 	"dynsched/internal/faultinject"
 	"dynsched/internal/obs"
 )
@@ -218,7 +219,7 @@ func TestGenerationFailureIsolatedPerApp(t *testing.T) {
 	opts.Faults = faultinject.New()
 	opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
 	e := New(opts)
-	acs, err := e.WindowSweepAll()
+	acs, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PartialError", err)
@@ -277,7 +278,7 @@ func TestGenerationPanicDoesNotPoisonCache(t *testing.T) {
 		if !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("call %d: panic origin lost: %v", i, err)
 		}
-		if !isPermanent(err) {
+		if !IsPermanent(err) {
 			t.Fatalf("call %d: cached generation failure must be permanent", i)
 		}
 	}

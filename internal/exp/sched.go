@@ -274,30 +274,42 @@ func (e *Experiment) perAppCells(apps []string, specs []CellSpec, kind string, o
 		}
 		return nil, fmt.Errorf("exp: %s canceled: %w", kind, err)
 	}
-	return mergeSweep(apps, specs, genErrs, func(i int) (cpu.Breakdown, uint64, *CellError) {
-		return results[i].Breakdown, results[i].Instructions, cellErrs[i]
-	})
+	return mergeSweep(apps, specs, genErrs, results, cellErrs)
 }
 
-// perAppJobs runs fn once per configured application with its generated
-// trace, bounded by Options.Workers. Generation is folded into each app's
-// job rather than batched up front, so fn starts on the first finished
-// trace while later applications are still generating. fn must write its
-// result into a slot keyed by the app index.
-func (e *Experiment) perAppJobs(fn func(i int, run *AppRun) error) error {
+// perApp runs fn once per configured application with its generated
+// trace, bounded by Options.Workers, and returns the results in
+// application order. Generation is folded into each app's job rather than
+// batched up front, so fn starts on the first finished trace while later
+// applications are still generating.
+func perApp[T any](e *Experiment, fn func(app string, run *AppRun) (T, error)) ([]T, error) {
 	apps := e.Apps()
 	jobs := make([]int, len(apps))
 	for i, app := range apps {
 		jobs[i] = e.opts.Board.Enqueue(app)
 	}
-	return runJobs(len(apps), e.opts.Workers, func(i int) error {
+	return collect(len(apps), e.opts.Workers, func(i int) (v T, err error) {
 		run, err := e.Run(apps[i])
 		if err != nil {
-			return err
+			return v, err
 		}
 		e.opts.Board.Start(jobs[i])
-		err = fn(i, run)
+		v, err = fn(apps[i], run)
 		e.opts.Board.Finish(jobs[i], err)
+		return v, err
+	})
+}
+
+// collect runs fn(0..n-1) through runJobs and returns the results in index
+// order, or the lowest-index failure.
+func collect[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := runJobs(n, workers, func(i int) (err error) {
+		out[i], err = fn(i)
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

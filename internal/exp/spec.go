@@ -174,46 +174,112 @@ func WindowSweepSpecs(model consistency.Model) []CellSpec {
 // Issue4Specs is the §4.2 multiple-issue experiment: the RC window sweep at
 // a decode/issue width of four.
 func Issue4Specs() []CellSpec {
-	specs := WindowSweepSpecs(consistency.RC)
-	for i := range specs {
-		if specs[i].Arch == "DS" {
-			specs[i].IssueWidth = 4
-		}
-	}
-	return specs
+	return withDS(WindowSweepSpecs(consistency.RC), func(s *CellSpec) { s.IssueWidth = 4 })
 }
 
 // SCPrefetchSpecs is the non-binding-prefetch extension: the SC window sweep
 // with the prefetcher enabled.
 func SCPrefetchSpecs() []CellSpec {
-	specs := WindowSweepSpecs(consistency.SC)
+	return withDS(WindowSweepSpecs(consistency.SC), func(s *CellSpec) { s.Prefetch = true })
+}
+
+// withDS applies set to every DS cell of specs.
+func withDS(specs []CellSpec, set func(*CellSpec)) []CellSpec {
 	for i := range specs {
 		if specs[i].Arch == "DS" {
-			specs[i].Prefetch = true
+			set(&specs[i])
 		}
 	}
 	return specs
 }
 
-// SweepSpecs maps a distributable experiment step name to its cell specs.
-// The step names match the hidelat experiments; ok is false for steps that
-// are not one column sweep over every application.
-func SweepSpecs(step string) (specs []CellSpec, ok bool) {
-	switch step {
-	case "fig3":
-		return Figure3Specs(), true
-	case "fig4":
-		return Figure4Specs(), true
-	case "latency100":
-		return WindowSweepSpecs(consistency.RC), true
-	case "issue4":
-		return Issue4Specs(), true
-	case "wo":
-		return WindowSweepSpecs(consistency.WO), true
-	case "scpf":
-		return SCPrefetchSpecs(), true
+// ablations are the three groups of the ablate sweep, DS under RC with one
+// knob varied. AblationSpecs replays BASE once, then every group's cells;
+// FormatAblations renders one table per group. The BTB
+// sizes run at window 128, isolating how much prediction capacity the
+// large windows need.
+var ablations = []struct {
+	title, config string
+	specs         []CellSpec
+}{
+	{"Store-buffer depth ablation", "RC, window 64", knobSpecs(64, "SB", []int{1, 2, 4, 8, 16, 32},
+		func(s *CellSpec, v int) { s.StoreBufDepth = v })},
+	{"MSHR ablation", "RC, window 64", knobSpecs(64, "MSHR", []int{1, 2, 4, 8, 16, 0},
+		func(s *CellSpec, v int) { s.MSHRs = v })},
+	{"BTB size ablation", "RC, window 128", knobSpecs(128, "BTB", []int{64, 256, 1024, 2048, 8192},
+		func(s *CellSpec, v int) { s.BTBEntries = v })},
+}
+
+// knobSpecs is one ablation group: an RC DS cell at window for each value
+// set applies, labelled prefix and the value ("inf" for 0, unlimited).
+func knobSpecs(window int, prefix string, values []int, set func(*CellSpec, int)) []CellSpec {
+	specs := make([]CellSpec, len(values))
+	for i, v := range values {
+		specs[i] = CellSpec{Label: fmt.Sprintf("%s%d", prefix, v), Arch: "DS", Model: "RC", Window: window}
+		if v == 0 {
+			specs[i].Label = prefix + "inf"
+		}
+		set(&specs[i], v)
 	}
-	return nil, false
+	return specs
+}
+
+// AblationSpecs is the ablate sweep: BASE, then the store-buffer depth,
+// MSHR count and BTB size groups.
+func AblationSpecs() []CellSpec {
+	specs := []CellSpec{{Label: "BASE", Arch: "BASE", Model: "SC"}}
+	for _, g := range ablations {
+		specs = append(specs, g.specs...)
+	}
+	return specs
+}
+
+// SweepDef is one row of the sweep table: an experiment that is one spec
+// sweep over every application.
+type SweepDef struct {
+	Name  string // the hidelat experiment name
+	Title string // heading of its column report; "" when it has its own format
+	Specs func() []CellSpec
+	// MissPenalty, when non-zero, is the miss penalty the sweep's traces
+	// are generated at in place of Options.MissPenalty.
+	MissPenalty uint32
+}
+
+func rcWindowSweep() []CellSpec { return WindowSweepSpecs(consistency.RC) }
+
+// sweeps is the sweep table: the paper's column experiments, the §7
+// summary (folded from the RC window sweep by SummarizeReadHidden) and the
+// ablations. Every row can be replayed in process or distributed.
+var sweeps = []SweepDef{
+	{Name: "fig3", Title: "Figure 3: static vs dynamic scheduling under SC/PC/RC (normalized to BASE)", Specs: Figure3Specs},
+	{Name: "fig4", Title: "Figure 4: perfect branch prediction (PBP) and ignored data dependences (ND) under RC", Specs: Figure4Specs},
+	{Name: "summary", Specs: rcWindowSweep},
+	{Name: "latency100", Title: "Latency 100: RC window sweep with a 100-cycle miss penalty (§4.2)", Specs: rcWindowSweep, MissPenalty: 100},
+	{Name: "issue4", Title: "Multiple issue: RC window sweep at 4-wide issue (§4.2)", Specs: Issue4Specs},
+	{Name: "wo", Title: "Weak ordering: DS window sweep under WO (extension)", Specs: func() []CellSpec { return WindowSweepSpecs(consistency.WO) }},
+	{Name: "scpf", Title: "SC with non-binding prefetch: DS window sweep (extension, ref [8] / §6)", Specs: SCPrefetchSpecs},
+	{Name: "ablate", Specs: AblationSpecs},
+}
+
+// LookupSweep returns the sweep table's row called name.
+func LookupSweep(name string) (SweepDef, bool) {
+	for _, sw := range sweeps {
+		if sw.Name == name {
+			return sw, true
+		}
+	}
+	return SweepDef{}, false
+}
+
+// SweepSpecs returns the cell specs of the sweep-table row called step; ok
+// is false for an experiment that is not one spec sweep over every
+// application.
+func SweepSpecs(step string) (specs []CellSpec, ok bool) {
+	sw, ok := LookupSweep(step)
+	if !ok {
+		return nil, false
+	}
+	return sw.Specs(), true
 }
 
 // RunSpec replays one cell spec over tr — the distributed worker's replay
@@ -245,20 +311,15 @@ func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, er
 	return spec.column(b, instructions), nil
 }
 
-// NormalizeColumns fills the Normalized and ReadHidden fields of a finished
-// column set against cols[0] (the BASE reference), exactly as mergeSweep
-// does.
-func NormalizeColumns(cols []Column) { normalize(cols) }
-
 // mergeSweep assembles an apps × specs sweep from its outcomes by cell
 // index (a*len(specs)+c) — perAppCells' merge, so local and distributed
 // sweeps are byte-identical at any worker count and topology. genErrs[a]
 // non-nil marks every cell of application a failed under one "(trace
-// generation)" error; otherwise outcome(i) supplies cell i's numbers or its
-// terminal failure. Each application's columns are normalized against its
+// generation)" error; otherwise results[i] holds cell i's numbers, or
+// cellErrs[i] its terminal failure. Each application's columns are normalized against its
 // BASE column, and any failures come back, ordered by index, in a
 // *PartialError alongside the partial results.
-func mergeSweep(apps []string, specs []CellSpec, genErrs []error, outcome func(i int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
+func mergeSweep(apps []string, specs []CellSpec, genErrs []error, results []cellResult, cellErrs []*CellError) ([]AppColumns, error) {
 	nc := len(specs)
 	out := make([]AppColumns, len(apps))
 	var failed []*CellError
@@ -274,15 +335,15 @@ func mergeSweep(apps []string, specs []CellSpec, genErrs []error, outcome func(i
 				cols[c] = failedColumn(s, genCE)
 				continue
 			}
-			b, n, ce := outcome(a*nc + c)
-			if ce != nil {
+			if ce := cellErrs[a*nc+c]; ce != nil {
 				failed = append(failed, ce)
 				cols[c] = failedColumn(s, ce)
 				continue
 			}
-			cols[c] = s.column(b, n)
+			r := results[a*nc+c]
+			cols[c] = s.column(r.Breakdown, r.Instructions)
 		}
-		normalize(cols)
+		NormalizeColumns(cols)
 		out[a] = AppColumns{App: app, Cols: cols}
 	}
 	if failed != nil {

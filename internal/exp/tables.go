@@ -18,16 +18,9 @@ type Table1Row struct {
 // Table1 computes the data-reference statistics for every application,
 // scanning the traces concurrently (bounded by Options.Workers).
 func (e *Experiment) Table1() ([]Table1Row, error) {
-	apps := e.Apps()
-	rows := make([]Table1Row, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		rows[i] = Table1Row{App: apps[i], Data: run.Trace.Data()}
-		return nil
+	return perApp(e, func(app string, run *AppRun) (Table1Row, error) {
+		return Table1Row{App: app, Data: run.Trace.Data()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatTable1 renders Table 1 in the paper's layout (counts in thousands,
@@ -60,16 +53,9 @@ type Table2Row struct {
 // Table2 computes the synchronization statistics for every application,
 // scanning the traces concurrently (bounded by Options.Workers).
 func (e *Experiment) Table2() ([]Table2Row, error) {
-	apps := e.Apps()
-	rows := make([]Table2Row, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		rows[i] = Table2Row{App: apps[i], Sync: run.Trace.Sync(), Busy: run.Trace.Data().BusyCycles}
-		return nil
+	return perApp(e, func(app string, run *AppRun) (Table2Row, error) {
+		return Table2Row{App: app, Sync: run.Trace.Sync(), Busy: run.Trace.Data().BusyCycles}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatTable2 renders Table 2 (counts with per-1000-instruction rates).
@@ -104,16 +90,9 @@ type Table3Row struct {
 // 4-way, 2-bit counters). Each application replays through its own BTB
 // instance, so the per-app jobs run concurrently.
 func (e *Experiment) Table3() ([]Table3Row, error) {
-	apps := e.Apps()
-	rows := make([]Table3Row, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		rows[i] = Table3Row{App: apps[i], Branches: run.Trace.Branches(bpred.NewPaperBTB())}
-		return nil
+	return perApp(e, func(app string, run *AppRun) (Table3Row, error) {
+		return Table3Row{App: app, Branches: run.Trace.Branches(bpred.NewPaperBTB())}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatTable3 renders Table 3 in the paper's layout.

@@ -7,18 +7,26 @@ import (
 	"testing"
 )
 
-// encodings returns the serialized forms of tr in every accepted container
-// version, keyed by name.
-func encodings(t *testing.T, tr *Trace) map[string][]byte {
+// encodings returns serialized traces in every accepted container
+// version, keyed by trace and version: version 3 written by WriteTo, the
+// flat-record versions read from their fixtures. The multichunk traces span
+// three version-3 chunks or three flat-record batches, the last partial.
+func encodings(t *testing.T) map[string][]byte {
 	t.Helper()
-	var v3 bytes.Buffer
-	if _, err := tr.WriteTo(&v3); err != nil {
-		t.Fatal(err)
+	v3 := func(tr *Trace) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	return map[string][]byte{
-		"v3": v3.Bytes(),
-		"v2": v2Bytes(t, tr),
-		"v1": legacyV1Bytes(t, tr),
+		"mini/v3":       v3(miniTrace()),
+		"mini/v2":       fixture(t, "mini.v2.trace"),
+		"mini/v1":       fixture(t, "mini.v1.trace"),
+		"multichunk/v3": v3(syntheticTrace(2*chunkEvents + 137)),
+		"multichunk/v2": fixture(t, "synth.v2.trace"),
+		"multichunk/v1": fixture(t, "synth.v1.trace"),
 	}
 }
 
@@ -56,28 +64,20 @@ func cursorCollect(t *testing.T, b []byte) (*Cursor, []Event) {
 // version and across chunk boundaries (the synthetic trace spans three v3
 // chunks, the last partial).
 func TestCursorMatchesReadTrace(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tr   *Trace
-	}{
-		{"mini", miniTrace()},
-		{"multichunk", syntheticTrace(2*chunkEvents + 137)},
-	} {
-		for name, b := range encodings(t, tc.tr) {
-			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				want, err := ReadTrace(bytes.NewReader(b))
-				if err != nil {
-					t.Fatalf("ReadTrace: %v", err)
-				}
-				c, got := cursorCollect(t, b)
-				if c.Meta() != want.Meta() {
-					t.Errorf("cursor meta %+v, ReadTrace meta %+v", c.Meta(), want.Meta())
-				}
-				if !reflect.DeepEqual(got, want.Events) {
-					t.Error("cursor events differ from ReadTrace events")
-				}
-			})
-		}
+	for name, b := range encodings(t) {
+		t.Run(name, func(t *testing.T) {
+			want, err := ReadTrace(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("ReadTrace: %v", err)
+			}
+			c, got := cursorCollect(t, b)
+			if c.Meta() != want.Meta() {
+				t.Errorf("cursor meta %+v, ReadTrace meta %+v", c.Meta(), want.Meta())
+			}
+			if !reflect.DeepEqual(got, want.Events) {
+				t.Error("cursor events differ from ReadTrace events")
+			}
+		})
 	}
 }
 

@@ -23,16 +23,9 @@ func FuzzReadTrace(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 
-	var v2buf bytes.Buffer
-	if _, err := miniTrace().WriteToV2(&v2buf); err != nil {
-		f.Fatal(err)
-	}
-	v2 := v2buf.Bytes()
+	v2 := fixture(f, "mini.v2.trace")
 	f.Add(v2)
-
-	legacy := append([]byte(nil), v2[:len(v2)-footerSize]...)
-	binary.LittleEndian.PutUint32(legacy[4:8], legacyVersion)
-	f.Add(legacy)
+	f.Add(fixture(f, "mini.v1.trace"))
 
 	var multi bytes.Buffer
 	if _, err := syntheticTrace(chunkEvents + 64).WriteTo(&multi); err != nil {

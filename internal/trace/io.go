@@ -34,8 +34,7 @@ package trace
 // Versions 1 and 2 use flat 40-byte records (PC int32, NextPC int32, Op,
 // Dst, Src1, Src2, flags, 3 pad, Imm int64, Addr uint64, Latency uint32,
 // Wait uint32); version 2 added the whole-file CRC footer. ReadTrace still
-// accepts both, and WriteToV2 still emits version 2 for tools that need it
-// and for benchmarking the formats against each other.
+// accepts both; nothing writes them any more.
 //
 // There are two readers over this container: ReadTrace materializes the
 // whole event slice, and Cursor (cursor.go) streams chunk-resident events
@@ -68,8 +67,8 @@ const formatVersion = 3
 // artifact, since the content address is computed over the serialized bytes.
 const FormatVersion = formatVersion
 
-// v2Version is the flat-record format with a CRC footer, still written by
-// WriteToV2 and accepted by ReadTrace.
+// v2Version is the flat-record format with a CRC footer, still accepted by
+// ReadTrace.
 const v2Version = 2
 
 // legacyVersion is the oldest version ReadTrace still accepts: the same
@@ -85,9 +84,9 @@ var footerMagic = [4]byte{'D', 'S', 'C', 'R'}
 
 const footerSize = 8
 
-// recBatch is how many flat event records are encoded or decoded per buffer
-// operation in the version-1/2 paths; paper-scale traces have millions of
-// events, so batching keeps the per-event cost to plain stores.
+// recBatch is how many flat event records are decoded per buffer operation
+// in the version-1/2 paths; paper-scale traces have millions of events, so
+// batching keeps the per-event cost to plain stores.
 const recBatch = 512
 
 // chunkEvents is the maximum events per version-3 chunk. 4096 keeps the
@@ -156,66 +155,6 @@ func (t *Trace) ContentAddr() (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-// WriteToV2 serializes the trace in the previous flat-record format
-// (version 2). Retained so existing consumers of the flat layout keep a
-// writer and so the benchmark suite can measure version 3 against it.
-func (t *Trace) WriteToV2(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	sum := crc32.NewIEEE()
-	var n int64
-	put := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		sum.Write(b[:m])
-		return err
-	}
-	if err := put(encodeHeader(t.Meta(), v2Version, uint64(len(t.Events)))); err != nil {
-		return n, err
-	}
-	buf := make([]byte, recBatch*eventSize)
-	for base := 0; base < len(t.Events); base += recBatch {
-		end := base + recBatch
-		if end > len(t.Events) {
-			end = len(t.Events)
-		}
-		for i := base; i < end; i++ {
-			e := &t.Events[i]
-			rec := buf[(i-base)*eventSize:][:eventSize]
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(e.PC))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(e.NextPC))
-			rec[8] = uint8(e.Instr.Op)
-			rec[9] = e.Instr.Dst
-			rec[10] = e.Instr.Src1
-			rec[11] = e.Instr.Src2
-			var flags uint8
-			if e.Miss {
-				flags |= flagMiss
-			}
-			if e.Taken {
-				flags |= flagTaken
-			}
-			rec[12] = flags
-			rec[13], rec[14], rec[15] = 0, 0, 0
-			binary.LittleEndian.PutUint64(rec[16:24], uint64(e.Instr.Imm))
-			binary.LittleEndian.PutUint64(rec[24:32], e.Addr)
-			binary.LittleEndian.PutUint32(rec[32:36], e.Latency)
-			binary.LittleEndian.PutUint32(rec[36:40], e.Wait)
-		}
-		if err := put(buf[:(end-base)*eventSize]); err != nil {
-			return n, err
-		}
-	}
-	var foot [footerSize]byte
-	copy(foot[0:4], footerMagic[:])
-	binary.LittleEndian.PutUint32(foot[4:8], sum.Sum32())
-	m, err := bw.Write(foot[:])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
 }
 
 // encodeHeader builds the fixed header, app name, and event count shared by
@@ -479,10 +418,10 @@ func growEvents(ev []Event, n int) []Event {
 	return out
 }
 
-// ReadTrace deserializes a trace written by WriteTo or WriteToV2 and
-// validates it. It accepts the current chunked format (version 3, with a
-// per-chunk CRC and the whole-file footer), the flat-record version 2
-// (footer only), and the legacy footerless version 1. Any checksum that
+// ReadTrace deserializes a trace written by WriteTo (or by an older
+// flat-record writer) and validates it. It accepts the current chunked
+// format (version 3, with a per-chunk CRC and the whole-file footer), the
+// flat-record version 2 (footer only), and the legacy footerless version 1. Any checksum that
 // does not match the payload — truncation, bit flips, torn writes — is
 // rejected instead of replayed as garbage.
 func ReadTrace(r io.Reader) (*Trace, error) {

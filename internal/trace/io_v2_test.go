@@ -3,37 +3,28 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// v2Bytes serializes tr in the flat-record version-2 format.
-func v2Bytes(t *testing.T, tr *Trace) []byte {
+// fixture reads a serialized trace from testdata. The flat-record
+// version-2 and version-1 fixtures were written by the version-2 writer
+// before it was retired: mini.* hold miniTrace, synth.* hold
+// syntheticTrace(2*recBatch+137), which spans three flat-record batches.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := tr.WriteToV2(&buf); err != nil {
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// legacyV1Bytes converts a serialized version-2 trace into its version-1
-// equivalent: same layout, version field patched back, CRC footer stripped.
-func legacyV1Bytes(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	b := v2Bytes(t, tr)
-	if len(b) < footerSize {
-		t.Fatalf("serialized trace too short: %d bytes", len(b))
-	}
-	b = b[:len(b)-footerSize]
-	binary.LittleEndian.PutUint32(b[4:8], legacyVersion)
 	return b
 }
 
 func TestReadTraceV2(t *testing.T) {
 	orig := miniTrace()
-	got, err := ReadTrace(bytes.NewReader(v2Bytes(t, orig)))
+	got, err := ReadTrace(bytes.NewReader(fixture(t, "mini.v2.trace")))
 	if err != nil {
 		t.Fatalf("v2 trace rejected: %v", err)
 	}
@@ -44,7 +35,7 @@ func TestReadTraceV2(t *testing.T) {
 
 func TestReadTraceLegacyV1(t *testing.T) {
 	orig := miniTrace()
-	b := legacyV1Bytes(t, orig)
+	b := fixture(t, "mini.v1.trace")
 	got, err := ReadTrace(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("legacy v1 trace rejected: %v", err)
@@ -55,7 +46,7 @@ func TestReadTraceLegacyV1(t *testing.T) {
 }
 
 func TestReadTraceV2CRCMismatch(t *testing.T) {
-	b := v2Bytes(t, miniTrace())
+	b := fixture(t, "mini.v2.trace")
 	// Flip one bit in an event's address field: record layout stays valid,
 	// so only the checksum can catch it.
 	off := 24 + len("mini") + 8 + 24

@@ -40,20 +40,16 @@ func TestStatV3(t *testing.T) {
 }
 
 func TestStatV2Flat(t *testing.T) {
-	tr := syntheticTrace(500)
-	var buf bytes.Buffer
-	if _, err := tr.WriteToV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Stat(bytes.NewReader(buf.Bytes()))
+	n := 2*recBatch + 137 // the synth fixture's event count
+	s, err := Stat(bytes.NewReader(fixture(t, "synth.v2.trace")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Version != v2Version || s.Chunks != 0 {
 		t.Errorf("v2 stat = %+v", s)
 	}
-	if s.PayloadBytes != 500*eventSize || s.BytesPerEvent() != eventSize {
-		t.Errorf("flat payload = %d (%.1f/event), want %d", s.PayloadBytes, s.BytesPerEvent(), 500*eventSize)
+	if s.PayloadBytes != uint64(n*eventSize) || s.BytesPerEvent() != eventSize {
+		t.Errorf("flat payload = %d (%.1f/event), want %d", s.PayloadBytes, s.BytesPerEvent(), n*eventSize)
 	}
 	if !s.HasFooter || !s.FooterOK {
 		t.Errorf("v2 footer = %+v", s)

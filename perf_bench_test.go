@@ -2,8 +2,8 @@ package dynsched
 
 // BenchmarkPerf tracks the two performance claims of the parallel
 // experiment scheduler work: the serial-vs-parallel wall time of a full
-// figure regeneration (WindowSweepAll across all five applications), and
-// the steady-state allocation count of a pooled-scratch DS replay. The
+// figure regeneration (the RC window sweep over all five applications),
+// and the steady-state allocation count of a pooled-scratch DS replay. The
 // numbers are written to BENCH_perf.json so they are tracked in the
 // repository. On a single-core host the serial and parallel sweeps time
 // out the same — the speedup column is only meaningful at GOMAXPROCS >= 2.
@@ -102,6 +102,10 @@ func sweepHarness(b *testing.B, workers int) *exp.Experiment {
 	return e
 }
 
+// rcWindowSweep is the plain RC window sweep the serial and parallel arms
+// time.
+var rcWindowSweep = exp.WindowSweepSpecs(consistency.RC)
+
 func BenchmarkPerf(b *testing.B) {
 	b.ReportAllocs()
 	rep := perfBenchReport{
@@ -115,7 +119,7 @@ func BenchmarkPerf(b *testing.B) {
 		e := sweepHarness(b, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.WindowSweepAll(); err != nil {
+			if _, err := e.Sweep(rcWindowSweep, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -126,7 +130,7 @@ func BenchmarkPerf(b *testing.B) {
 		e := sweepHarness(b, 0) // GOMAXPROCS workers
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.WindowSweepAll(); err != nil {
+			if _, err := e.Sweep(rcWindowSweep, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -317,12 +321,10 @@ func BenchmarkPerf(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			n2, err := run.Trace.WriteToV2(io.Discard)
-			if err != nil {
-				b.Fatal(err)
-			}
+			// Version 2 is fixed-size: header and app name, one 40-byte
+			// record per event, and the 8-byte footer.
 			v3Bytes += n3
-			v2Bytes += n2
+			v2Bytes += int64(24 + len(run.Trace.App) + 8 + 40*run.Trace.Len() + 8)
 			events += int64(run.Trace.Len())
 		}
 		rep.TraceV2BytesPerEvent = float64(v2Bytes) / float64(events)
