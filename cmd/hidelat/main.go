@@ -634,10 +634,10 @@ var steps = []step{
 	{name: "wo", render: printColumns},
 	{name: "scpf", render: printColumns},
 	{name: "resched", run: report((*exp.Experiment).ReschedAll, exp.FormatResched)},
-	{name: "cachegeom", run: perApp(exp.AblationCacheSize, exp.FormatCacheGeom)},
-	{name: "contexts", run: perApp(exp.MultipleContexts, exp.FormatMC)},
-	{name: "contention", run: perApp(exp.Contention, exp.FormatContention)},
-	{name: "machines", run: perApp(exp.MachineSweep, exp.FormatMachines)},
+	{name: "cachegeom", run: genSweep(exp.AblationCacheSize, exp.FormatCacheGeom)},
+	{name: "contexts", run: genSweep(exp.MultipleContexts, exp.FormatMC)},
+	{name: "contention", run: genSweep(exp.Contention, exp.FormatContention)},
+	{name: "machines", run: genSweep(exp.MachineSweep, exp.FormatMachines)},
 	{name: "ablate", render: printAblation},
 	{name: "analyze", run: analyzeCmd},
 	{name: "timeline", run: timelineCmd},
@@ -704,9 +704,9 @@ func report[T any](compute func(*exp.Experiment) (T, error), format func(T) stri
 
 func text(s string) string { return s }
 
-// perApp is a step that regenerates each application's traces under varied
+// genSweep is a step that regenerates each application's traces under varied
 // machine parameters and prints one report per application.
-func perApp[T any](sweep func(string, exp.Options) (T, error), format func(string, T) string) func(*runState, *exp.Experiment) error {
+func genSweep[T any](sweep func(string, exp.Options) (T, error), format func(string, T) string) func(*runState, *exp.Experiment) error {
 	return func(_ *runState, e *exp.Experiment) error {
 		for _, app := range e.Apps() {
 			rows, err := sweep(app, e.Options())

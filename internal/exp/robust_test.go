@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"dynsched/internal/apps"
 	"dynsched/internal/consistency"
+	"dynsched/internal/cpu"
 	"dynsched/internal/faultinject"
 	"dynsched/internal/obs"
 )
@@ -443,5 +445,49 @@ func TestTimelineContainment(t *testing.T) {
 		if got := rep.Apps[1].Cells[c]; !got.Failed && !reflect.DeepEqual(got, want) {
 			t.Errorf("lu %s differs from a clean run:\n got %+v\nwant %+v", want.Label, got, want)
 		}
+	}
+}
+
+// The §7 summary folded from the RC window sweep is bit-equal to replaying
+// BASE and RC-DS directly over each trace, and a failed cell reads NaN in
+// its row and in the average rather than a silent zero.
+func TestSummarizeReadHidden(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = apps.ScaleSmall
+	opts.Apps = []string{"lu", "mp3d"}
+	opts.Faults = faultinject.New()
+	opts.Faults.Arm("cell.mp3d RC-DS64", faultinject.Fault{Kind: faultinject.KindError})
+	e := New(opts)
+	acs, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
+	var pe *PartialError
+	if !errors.As(err, &pe) || len(pe.Cells) != 1 {
+		t.Fatalf("err = %v, want a *PartialError with the one injected failure", err)
+	}
+	avg, perApp := SummarizeReadHidden(acs)
+	for _, app := range opts.Apps {
+		run, err := e.Run(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := cpu.RunBase(run.Trace).Breakdown.Read
+		for _, w := range Windows {
+			got := perApp[app][w]
+			if app == "mp3d" && w == 64 {
+				if !math.IsNaN(got) {
+					t.Errorf("failed cell mp3d RC-DS64 reads %v, want NaN", got)
+				}
+				continue
+			}
+			ds, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 1 - float64(ds.Breakdown.Read)/float64(base); got != want {
+				t.Errorf("%s W%d: hidden %v, want %v from a direct replay", app, w, got, want)
+			}
+		}
+	}
+	if !math.IsNaN(avg[64]) || math.IsNaN(avg[32]) {
+		t.Errorf("average = %v, want NaN only at window 64", avg)
 	}
 }

@@ -195,9 +195,8 @@ func withDS(specs []CellSpec, set func(*CellSpec)) []CellSpec {
 
 // ablations are the three groups of the ablate sweep, DS under RC with one
 // knob varied. AblationSpecs replays BASE once, then every group's cells;
-// FormatAblations renders one table per group. The BTB
-// sizes run at window 128, isolating how much prediction capacity the
-// large windows need.
+// FormatAblations renders one table per group. The BTB sizes run at window
+// 128, isolating how much prediction capacity the large windows need.
 var ablations = []struct {
 	title, config string
 	specs         []CellSpec
@@ -316,9 +315,9 @@ func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, er
 // sweeps are byte-identical at any worker count and topology. genErrs[a]
 // non-nil marks every cell of application a failed under one "(trace
 // generation)" error; otherwise results[i] holds cell i's numbers, or
-// cellErrs[i] its terminal failure. Each application's columns are normalized against its
-// BASE column, and any failures come back, ordered by index, in a
-// *PartialError alongside the partial results.
+// cellErrs[i] its terminal failure. Each application's columns are
+// normalized against its BASE column, and any failures come back, ordered
+// by index, in a *PartialError alongside the partial results.
 func mergeSweep(apps []string, specs []CellSpec, genErrs []error, results []cellResult, cellErrs []*CellError) ([]AppColumns, error) {
 	nc := len(specs)
 	out := make([]AppColumns, len(apps))
