@@ -171,10 +171,11 @@ func BenchmarkSummary(b *testing.B) {
 	b.ReportAllocs()
 	e := benchHarness(b)
 	for i := 0; i < b.N; i++ {
-		avg, _, err := e.ReadHiddenSummary()
+		acs, err := e.Sweep(exp.WindowSweepSpecs(consistency.RC), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		avg, _ := exp.SummarizeReadHidden(acs)
 		b.ReportMetric(100*avg[16], "%hidden@16")
 		b.ReportMetric(100*avg[32], "%hidden@32")
 		b.ReportMetric(100*avg[64], "%hidden@64")

@@ -9,8 +9,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-
-	"dynsched/internal/exp"
 )
 
 func TestCLIDistFlagValidation(t *testing.T) {
@@ -96,28 +94,5 @@ func distributedMatchesLocal(t *testing.T, step string) {
 	}
 	if distOut != local {
 		t.Errorf("distributed stdout differs from local run\nlocal:\n%s\ndistributed:\n%s", local, distOut)
-	}
-}
-
-// Every spec-sweep step names a row of exp's sweep table and every row has
-// a step, so the usage list, `all` and -coordinator cover the same sweeps.
-func TestStepTableMatchesSweepTable(t *testing.T) {
-	seen := map[string]bool{}
-	for _, s := range steps {
-		if seen[s.name] {
-			t.Errorf("step %q listed twice", s.name)
-		}
-		seen[s.name] = true
-		if (s.run == nil) == (s.render == nil) {
-			t.Errorf("step %q: want exactly one of run and render", s.name)
-		}
-		if _, ok := exp.LookupSweep(s.name); ok != (s.render != nil) {
-			t.Errorf("step %q: in exp's sweep table = %v, has a renderer = %v", s.name, ok, s.render != nil)
-		}
-	}
-	for _, name := range []string{"fig3", "fig4", "summary", "latency100", "issue4", "wo", "scpf", "ablate"} {
-		if _, ok := exp.SweepSpecs(name); !ok || !seen[name] {
-			t.Errorf("sweep %q: in exp's sweep table = %v, a step = %v", name, ok, seen[name])
-		}
 	}
 }

@@ -257,10 +257,10 @@ func run(args []string) error {
 		if set["lease"] || set["queue-max"] {
 			return fmt.Errorf("-lease and -queue-max require -coordinator")
 		}
-	} else if s, _ := lookupStep(what); s.render == nil {
+	} else if _, ok := exp.LookupSweep(what); !ok {
 		var names []string
 		for _, s := range steps {
-			if s.render != nil {
+			if _, ok := exp.LookupSweep(s.name); ok {
 				names = append(names, s.name)
 			}
 		}
@@ -418,7 +418,7 @@ func run(args []string) error {
 			if i > 0 {
 				fmt.Println()
 			}
-			if err := st.runStep(s, e); err != nil {
+			if err := s.run(st, e, s.name); err != nil {
 				var pe *exp.PartialError
 				if !errors.As(err, &pe) {
 					return err
@@ -607,41 +607,40 @@ type runState struct {
 	replay                    exp.Replay
 }
 
-// step is one row of hidelat's experiment table. A spec sweep — a row of
-// exp's sweep table, which holds its specs, title and miss penalty — has
-// a renderer for its columns; any other step runs itself.
+// step is one row of hidelat's experiment table: its name and how it runs
+// on a harness. run is passed the step's name.
 type step struct {
-	name   string
-	run    func(*runState, *exp.Experiment) error
-	render func(*runState, exp.SweepDef, []exp.AppColumns)
+	name string
+	run  func(st *runState, e *exp.Experiment, name string) error
 }
 
 // steps is the experiment table, in the order `all` runs it. Only the spec
-// sweeps can run under -coordinator. cachegeom, contexts, contention and
-// machines vary trace generation itself, which no CellSpec can name, so
-// they always run locally. latency100 comes last: it regenerates every
+// sweeps — the steps named after a row of exp's sweep table, which holds
+// their specs, title and miss penalty — can run under -coordinator.
+// cachegeom, contexts, contention and machines vary trace generation
+// itself, which no CellSpec can name, so they always run locally. latency100 comes last: it regenerates every
 // trace at its own miss penalty.
 var steps = []step{
 	{name: "table1", run: report((*exp.Experiment).Table1, exp.FormatTable1)},
 	{name: "table2", run: report((*exp.Experiment).Table2, exp.FormatTable2)},
 	{name: "table3", run: report((*exp.Experiment).Table3, exp.FormatTable3)},
-	{name: "fig3", render: printColumns},
-	{name: "fig4", render: printColumns},
-	{name: "summary", render: printSummary},
+	{name: "fig3", run: sweep(printColumns)},
+	{name: "fig4", run: sweep(printColumns)},
+	{name: "summary", run: sweep(printSummary)},
 	{name: "delays", run: report((*exp.Experiment).DelayReport, text)},
 	{name: "distances", run: report((*exp.Experiment).MissDistanceReport, text)},
-	{name: "issue4", render: printColumns},
-	{name: "wo", render: printColumns},
-	{name: "scpf", render: printColumns},
+	{name: "issue4", run: sweep(printColumns)},
+	{name: "wo", run: sweep(printColumns)},
+	{name: "scpf", run: sweep(printColumns)},
 	{name: "resched", run: report((*exp.Experiment).ReschedAll, exp.FormatResched)},
 	{name: "cachegeom", run: genSweep(exp.AblationCacheSize, exp.FormatCacheGeom)},
 	{name: "contexts", run: genSweep(exp.MultipleContexts, exp.FormatMC)},
 	{name: "contention", run: genSweep(exp.Contention, exp.FormatContention)},
 	{name: "machines", run: genSweep(exp.MachineSweep, exp.FormatMachines)},
-	{name: "ablate", render: printAblation},
+	{name: "ablate", run: sweep(printAblation)},
 	{name: "analyze", run: analyzeCmd},
 	{name: "timeline", run: timelineCmd},
-	{name: "latency100", render: printColumns},
+	{name: "latency100", run: sweep(printColumns)},
 }
 
 func lookupStep(name string) (step, bool) {
@@ -653,19 +652,19 @@ func lookupStep(name string) (step, bool) {
 	return step{}, false
 }
 
-// runStep runs one step. A spec sweep replays in process, or with every
-// cell attempt leased to a remote worker under -coordinator, and its
-// renderer prints whatever columns came back, failed cells included.
-func (st *runState) runStep(s step, e *exp.Experiment) error {
-	if s.run != nil {
-		return s.run(st, e)
+// sweep is a spec-sweep step: it replays the sweep-table row named after
+// the step in process, or with every cell attempt leased to a remote
+// worker under -coordinator, and renders whatever columns came back,
+// failed cells included.
+func sweep(render func(*runState, exp.SweepDef, []exp.AppColumns)) func(*runState, *exp.Experiment, string) error {
+	return func(st *runState, e *exp.Experiment, name string) error {
+		sw, _ := exp.LookupSweep(name)
+		acs, err := harness(e, name).Sweep(sw.Specs(), st.replay)
+		if acs != nil {
+			render(st, sw, acs)
+		}
+		return err
 	}
-	sw, _ := exp.LookupSweep(s.name)
-	acs, err := harness(e, s.name).Sweep(sw.Specs(), st.replay)
-	if acs != nil {
-		s.render(st, sw, acs)
-	}
-	return err
 }
 
 // harness returns the harness step name runs on: e, or a fresh harness
@@ -691,8 +690,8 @@ func shutdown(srv interface{ Shutdown(context.Context) error }) {
 
 // report is a step that computes one value over every application and
 // prints it.
-func report[T any](compute func(*exp.Experiment) (T, error), format func(T) string) func(*runState, *exp.Experiment) error {
-	return func(_ *runState, e *exp.Experiment) error {
+func report[T any](compute func(*exp.Experiment) (T, error), format func(T) string) func(*runState, *exp.Experiment, string) error {
+	return func(_ *runState, e *exp.Experiment, _ string) error {
 		v, err := compute(e)
 		if err != nil {
 			return err
@@ -706,10 +705,10 @@ func text(s string) string { return s }
 
 // genSweep is a step that regenerates each application's traces under varied
 // machine parameters and prints one report per application.
-func genSweep[T any](sweep func(string, exp.Options) (T, error), format func(string, T) string) func(*runState, *exp.Experiment) error {
-	return func(_ *runState, e *exp.Experiment) error {
+func genSweep[T any](gen func(string, exp.Options) (T, error), format func(string, T) string) func(*runState, *exp.Experiment, string) error {
+	return func(_ *runState, e *exp.Experiment, _ string) error {
 		for _, app := range e.Apps() {
-			rows, err := sweep(app, e.Options())
+			rows, err := gen(app, e.Options())
 			if err != nil {
 				return err
 			}
@@ -749,7 +748,7 @@ func printAblation(_ *runState, _ exp.SweepDef, acs []exp.AppColumns) {
 // analyzeCmd runs the critical-path attribution sweep and prints the
 // top-down report. Like the figure steps, a *PartialError still prints the
 // healthy cells and writes the artifacts before being reported at exit.
-func analyzeCmd(st *runState, e *exp.Experiment) error {
+func analyzeCmd(st *runState, e *exp.Experiment, _ string) error {
 	rep, err := e.AnalyzeAll()
 	if rep == nil {
 		return err
@@ -766,7 +765,7 @@ func analyzeCmd(st *runState, e *exp.Experiment) error {
 	return err
 }
 
-func timelineCmd(st *runState, e *exp.Experiment) error {
+func timelineCmd(st *runState, e *exp.Experiment, _ string) error {
 	rep, err := e.TimelineAll()
 	if rep == nil {
 		return err

@@ -34,13 +34,14 @@ func TestConvertRoundTrip(t *testing.T) {
 		t.Fatalf("v3 -> v3 conversion not byte-identical: %d vs %d bytes", len(got), len(want))
 	}
 
-	// The flat-record fixture was written by the retired version-2 writer.
-	v2 := filepath.Join("..", "..", "internal", "trace", "testdata", "mini.v2.trace")
+	// The flat-record fixture was written by the retired version-2 writer;
+	// it spans seventeen flat-record batches.
+	v2 := filepath.Join("..", "..", "internal", "trace", "testdata", "synth.v2.trace")
 	tr, err := load(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2 := filepath.Join(dir, "mini.v2to3.trace")
+	out2 := filepath.Join(dir, "synth.v2to3.trace")
 	if err := run([]string{"convert", "-o", out2, v2}); err != nil {
 		t.Fatalf("convert v2: %v", err)
 	}

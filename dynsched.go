@@ -342,7 +342,7 @@ type Experiment = exp.Experiment
 type ExperimentOptions = exp.Options
 
 // NewExperiment creates a table/figure harness; see the exp package for the
-// per-table accessors (Table1, Figure3All, ReadHiddenSummary, ...).
+// per-table accessors (Table1, Figure3All, SweepSpecs, ...).
 func NewExperiment(opts ExperimentOptions) *Experiment { return exp.New(opts) }
 
 // DefaultExperimentOptions returns the paper's main configuration.

@@ -461,22 +461,10 @@ func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
 	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
 }
 
-// ReadHiddenSummary reproduces the concluding statistic of §7: the average
-// fraction of read latency hidden across the applications for each window
-// size under RC ("33% for window size of 16, 63% for window size of 32, and
-// 81% for window size of 64" in the paper), folded from the RC window
-// sweep.
-func (e *Experiment) ReadHiddenSummary() (map[int]float64, map[string]map[int]float64, error) {
-	acs, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	avg, perApp := SummarizeReadHidden(acs)
-	return avg, perApp, nil
-}
-
-// SummarizeReadHidden folds an RC window sweep into the §7 summary: each
-// application's read latency hidden per window, and their average. The
+// SummarizeReadHidden folds an RC window sweep (WindowSweepSpecs(RC)) into
+// the concluding statistic of §7: each application's read latency hidden per
+// window, and their average ("33% for window size of 16, 63% for window size
+// of 32, and 81% for window size of 64" in the paper). The
 // average is accumulated in application order, so the floating-point
 // result is worker-count independent. A failed cell, or every cell of an
 // application whose BASE failed, reads NaN.

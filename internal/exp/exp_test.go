@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynsched/internal/apps"
+	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 )
 
@@ -217,10 +218,11 @@ func labelf(f string, args ...any) string { return fmt.Sprintf(f, args...) }
 // near-full hiding at window 64, as in §7.
 func TestReadHiddenSummary(t *testing.T) {
 	e := smallExp(t)
-	avg, perApp, err := e.ReadHiddenSummary()
+	acs, err := e.Sweep(WindowSweepSpecs(consistency.RC), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	avg, perApp := SummarizeReadHidden(acs)
 	if avg[16] >= avg[64] {
 		t.Errorf("hidden fraction should grow with window: w16=%.2f w64=%.2f", avg[16], avg[64])
 	}

@@ -9,8 +9,9 @@ import (
 
 // encodings returns serialized traces in every accepted container
 // version, keyed by trace and version: version 3 written by WriteTo, the
-// flat-record versions read from their fixtures. The multichunk traces span
-// three version-3 chunks or three flat-record batches, the last partial.
+// flat-record versions read from their fixtures. The multichunk traces hold
+// 2*chunkEvents+137 events, more than the Cursor's ring: three version-3
+// chunks or seventeen flat-record batches, the last partial.
 func encodings(t *testing.T) map[string][]byte {
 	t.Helper()
 	v3 := func(tr *Trace) []byte {

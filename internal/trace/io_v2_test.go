@@ -12,7 +12,8 @@ import (
 // fixture reads a serialized trace from testdata. The flat-record
 // version-2 and version-1 fixtures were written by the version-2 writer
 // before it was retired: mini.* hold miniTrace, synth.* hold
-// syntheticTrace(2*recBatch+137), which spans three flat-record batches.
+// syntheticTrace(2*chunkEvents+137), which spans seventeen flat-record
+// batches, the last partial, and wraps the Cursor's event ring.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile("testdata/" + name)

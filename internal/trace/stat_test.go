@@ -40,7 +40,7 @@ func TestStatV3(t *testing.T) {
 }
 
 func TestStatV2Flat(t *testing.T) {
-	n := 2*recBatch + 137 // the synth fixture's event count
+	n := 2*chunkEvents + 137 // the synth fixture's event count
 	s, err := Stat(bytes.NewReader(fixture(t, "synth.v2.trace")))
 	if err != nil {
 		t.Fatal(err)
