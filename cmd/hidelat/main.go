@@ -618,8 +618,9 @@ type step struct {
 // sweeps — the steps named after a row of exp's sweep table, which holds
 // their specs, title and miss penalty — can run under -coordinator.
 // cachegeom, contexts, contention and machines vary trace generation
-// itself, which no CellSpec can name, so they always run locally. latency100 comes last: it regenerates every
-// trace at its own miss penalty.
+// itself, which no CellSpec can name, so they always run locally.
+// latency100 comes last: it regenerates every trace at its own miss
+// penalty.
 var steps = []step{
 	{name: "table1", run: report((*exp.Experiment).Table1, exp.FormatTable1)},
 	{name: "table2", run: report((*exp.Experiment).Table2, exp.FormatTable2)},
